@@ -49,7 +49,6 @@ stats: they model the *scalar* code's work, not the vectorized form.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,33 +344,13 @@ def predict_coal_work(
     ``selection`` lets a caller that already built the per-step
     :class:`CoalSelection` (the collision stage predicts work and then
     runs the step on the same state) share it instead of recomputing
-    every mask.
+    every mask. This is the one-member case of
+    :func:`predict_coal_work_members`.
     """
-    npts = temperature.shape[0]
-    nkr = next(iter(dists.values())).shape[1]
-    stats = CoalWorkStats(active_points=npts)
-    if npts == 0:
-        return stats
-    if selection is None:
-        selection = CoalSelection.build(dists, temperature)
-    if not on_demand:
-        stats.kernel_entries += float(npts) * tables.baseline_entry_count()
-    for ix in interactions:
-        sel = selection.mask(ix)
-        count = int(sel.sum())
-        if count == 0:
-            continue
-        if occupied is not None:
-            occ_a = occupied[ix.collector][sel]
-            occ_b = occupied[ix.collected][sel]
-            touched = float((occ_a * occ_b).sum())
-        else:
-            touched = float(count) * nkr * nkr
-        stats.pair_entries += touched
-        stats.interactions_used += float(count)
-        if on_demand:
-            stats.kernel_entries += touched
-    return stats
+    return predict_coal_work_members(
+        dists, temperature, tables, interactions, occupied, on_demand,
+        [(0, temperature.shape[0])], selection=selection,
+    )[0]
 
 
 def predict_coal_work_members(
@@ -389,9 +368,9 @@ def predict_coal_work_members(
     ``segments[m]`` is member ``m``'s row range in the concatenated
     point arrays. Masks are row-local (temperature gate and per-row
     sums), so slicing the shared mask to a member's segment equals the
-    mask a solo :func:`predict_coal_work` of that member computes; the
-    per-member sums and counts below therefore accumulate exactly the
-    solo numbers, in the solo interaction order.
+    mask a call on that member's rows alone computes; the per-member
+    sums and counts below therefore accumulate exactly those numbers,
+    in the same interaction order.
     """
     nkr = next(iter(dists.values())).shape[1]
     out = [
@@ -607,259 +586,6 @@ def _apply_sparse(
             dists[ix.product][idx] += gain
 
 
-class CoalWorkspace:
-    """Persistent buffers for the batched collision engine.
-
-    The per-interaction apply used to allocate its matmul results and
-    the gain accumulator fresh on every call — at 56 interaction
-    applications per three-step collision cadence, allocator traffic
-    showed up in the profile. This is the collision analog of the
-    Fortran ``*_temp`` preallocation (and of
-    :class:`repro.wrf.transport.TransportWorkspace`): named buffers
-    grow to the high-water mark during warm-up and are reused
-    thereafter, so steady-state steps perform **zero** workspace
-    allocations (asserted by the native-kernel tests via
-    :attr:`allocations`).
-    """
-
-    def __init__(self, dtype: np.dtype | type = np.float64):
-        self.dtype = np.dtype(dtype)
-        self._pools: dict[str, np.ndarray] = {}
-        #: Buffer (re)allocations performed so far; stable after warm-up.
-        self.allocations = 0
-
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A ``shape`` view of the named pool, grown if needed."""
-        size = int(np.prod(shape))
-        pool = self._pools.get(name)
-        if pool is None or pool.size < size:
-            pool = np.empty(size, dtype=self.dtype)
-            self._pools[name] = pool
-            self.allocations += 1
-        return pool[:size].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(p.nbytes for p in self._pools.values())
-
-
-_coal_ws_cache = get_cache(
-    "fsbm.coal_workspace", maxsize=32, sizeof=lambda ws: ws.nbytes
-)
-
-
-def get_coal_workspace(
-    dtype: np.dtype | type = np.float64, owner: object | None = None
-) -> CoalWorkspace:
-    """The registered workspace for ``(dtype, owner)``.
-
-    ``owner`` defaults to the calling thread, so batched rank execution
-    (which runs per-rank physics on a thread pool) never shares scratch
-    buffers between concurrently executing ranks.
-    """
-    key = (np.dtype(dtype).str, owner if owner is not None else threading.get_ident())
-    return _coal_ws_cache.get_or_build(key, lambda: CoalWorkspace(dtype))
-
-
-def _batched_operators(
-    tables: KernelTables, name: str, nkr: int, na: int, nb: int, dtype: np.dtype
-) -> tuple:
-    """Stacked sparse operators for the batched engine.
-
-    The per-point pressure interpolation ``M @ Op500 + ws * (M @ OpDel)``
-    is folded into the GEMM itself by stacking the 500-mb and delta
-    operators vertically and widening the point matrix to
-    ``[m | ws * m]``: one GEMM per (side, role) instead of two GEMMs
-    plus three elementwise passes. The two gain operators of each side
-    (low deposit, high deposit) are additionally stacked horizontally,
-    so a full interaction needs four GEMMs — loss and gain per side —
-    against:
-
-    * ``BT = [[K5^T], [Kd^T]]``      (2 nb, na)   row losses
-    * ``AT = [[K5], [Kd]]``          (2 na, nb)   column losses
-    * ``BG = [[L5^T | Lh5^T], [Ld^T | Lhd^T]]``  (2 nb, 2 na) row gains
-    * ``AG = [[U5 | Uh5], [Ud | Uhd]]``          (2 na, 2 nb) col gains
-
-    The fused inner dimension reorders the interpolation dot products
-    (~1e-15 relative vs the reference's add-after-matmul), which is why
-    the batched engine is property tested at ≤1e-12 rather than
-    bitwise.
-    """
-    cache = get_cache("fsbm.coal_batched_operators", maxsize=256)
-    key = (tables_token(tables), name, nkr, na, nb, dtype.str)
-
-    def build() -> tuple:
-        ops_500, ops_del = _coal_operators(tables, name, nkr, na, nb, dtype)
-        k5t, k5, l5t, lh5t, u5, uh5, d5 = ops_500
-        kdt, kd, ldt, lhdt, ud, uhd, dd = ops_del
-        return (
-            np.ascontiguousarray(np.vstack([k5t, kdt])),
-            np.ascontiguousarray(np.vstack([k5, kd])),
-            np.ascontiguousarray(
-                np.vstack([np.hstack([l5t, lh5t]), np.hstack([ldt, lhdt])])
-            ),
-            np.ascontiguousarray(
-                np.vstack([np.hstack([u5, uh5]), np.hstack([ud, uhd])])
-            ),
-            d5,
-            dd,
-        )
-
-    return cache.get_or_build(key, build)
-
-
-def _apply_sparse_batched(
-    dists: dict[Species, np.ndarray],
-    ix: Interaction,
-    idx: np.ndarray,
-    a_full: np.ndarray,
-    b_full: np.ndarray,
-    na: int,
-    nb: int,
-    ws: np.ndarray,
-    dt: float,
-    dtype: np.dtype,
-    tables: KernelTables,
-    nkr: int,
-    work: CoalWorkspace,
-) -> None:
-    """One interaction's update via batched GEMMs over the workspace.
-
-    Numerically this follows :func:`_apply_sparse` operation for
-    operation — same loss/limiter/gain sequence, with the pressure
-    interpolation fused into the GEMM inner dimension (see
-    :func:`_batched_operators`, agreement ~1e-15) and the scalar
-    prefactor applied as one ``half * dt`` product (``half`` is a power
-    of two, so the reordering is exact). All matmul outputs, the
-    widened point matrices, and the gain accumulator live in the
-    persistent ``work`` buffers, so steady-state calls perform no
-    workspace allocations. In self-collection ``a`` and ``b`` hold the
-    same values, so the ``a``-side GEMM serves the reference's
-    ``b @ K`` column losses verbatim.
-    """
-    n_a = dists[ix.collector]
-    n_b = dists[ix.collected]
-    if a_full.dtype == dtype:
-        a = a_full[:, :na]
-        b = b_full[:, :nb]
-    else:
-        a = a_full[:, :na].astype(dtype)
-        b = b_full[:, :nb].astype(dtype)
-    bt, at, bg, ag, d5, dd = _batched_operators(tables, ix.name, nkr, na, nb, dtype)
-    half = dtype.type(0.5) if ix.self_collection else dtype.type(1.0)
-    scale = half * dtype.type(dt)
-    wsc = ws[:, None]
-    npts = len(idx)
-
-    def widen(name: str, m: np.ndarray, n: int) -> np.ndarray:
-        """``[m | ws * m]`` in a persistent buffer (the GEMM left side)."""
-        m2 = work.buffer(name, (npts, 2 * n))
-        m2[:, :n] = m
-        np.multiply(m, wsc, out=m2[:, n:])
-        return m2
-
-    a2 = widen("a2", a, na)
-    b2 = widen("b2", b, nb)
-    lb = work.buffer("lb", (npts, na))
-    la = work.buffer("la", (npts, nb))
-    rs = work.buffer("rs", (npts, na))
-    cs = work.buffer("cs", (npts, nb))
-
-    def losses(ap_: np.ndarray, bp_: np.ndarray) -> None:
-        np.matmul(b2, bt, out=lb)
-        np.multiply(ap_, lb, out=rs)
-        np.multiply(rs, scale, out=rs)
-        np.matmul(a2, at, out=la)
-        np.multiply(bp_, la, out=cs)
-        np.multiply(cs, scale, out=cs)
-
-    losses(a, b if not ix.self_collection else a)
-    if ix.self_collection:
-        loss = rs + cs
-        if np.all(loss <= a):
-            # Limiter never binds: a' == a exactly (zero bins have zero
-            # loss), so the pre-limit losses are already final.
-            ap = a
-            bp = a
-        else:
-            f = np.minimum(1.0, a / np.maximum(loss, 1e-30)).astype(dtype)
-            ap = a * f
-            bp = ap
-            widen("a2", ap, na)
-            widen("b2", bp, nb)
-            losses(ap, bp)
-    else:
-        if np.all(rs <= a) and np.all(cs <= b):
-            ap = a
-            bp = b
-        else:
-            f_a = np.minimum(1.0, a / np.maximum(rs, 1e-30)).astype(dtype)
-            f_b = np.minimum(1.0, b / np.maximum(cs, 1e-30)).astype(dtype)
-            ap = a * f_a
-            bp = b * f_b
-            widen("a2", ap, na)
-            widen("b2", bp, nb)
-            losses(ap, bp)
-
-    nd = min(na, nb)
-    gb = work.buffer("gb", (npts, 2 * na))
-    ga = work.buffer("ga", (npts, 2 * nb))
-    np.matmul(b2, bg, out=gb)
-    np.matmul(a2, ag, out=ga)
-    g = work.buffer("g", (npts, nkr))
-    g[:] = 0.0
-    t = work.buffer("t", (npts, max(na, nb)))
-    ta = t[:, :na]
-    tb = t[:, :nb]
-    ha = min(na, nkr - 1)
-    hb = min(nb, nkr - 1)
-    hd = min(nd, nkr - 1)
-    np.multiply(ap, gb[:, :na], out=ta)
-    g[:, :na] += ta
-    np.multiply(bp, ga[:, :nb], out=tb)
-    g[:, :nb] += tb
-    np.multiply(ap, gb[:, na:], out=ta)
-    g[:, 1 : ha + 1] += ta[:, :ha]
-    np.multiply(bp, ga[:, nb:], out=tb)
-    g[:, 1 : hb + 1] += tb[:, :hb]
-    dg = work.buffer("dg", (npts, nd))
-    dw = work.buffer("dw", (npts, nd))
-    np.multiply(ap[:, :nd], bp[:, :nd], out=dg)
-    np.multiply(dd, wsc, out=dw)
-    dw += d5
-    dg *= dw
-    g[:, 1 : hd + 1] += dg[:, :hd]
-    if nd == nkr:
-        # Top diagonal pair overflows into the top bin itself.
-        g[:, nkr - 1] += dg[:, nkr - 1]
-    g *= scale
-    gain = g
-
-    if ix.self_collection:
-        a_new = a_full.copy()
-        a_new[:, :na] = np.maximum(a - rs - cs, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = np.maximum(a_new + gain, 0.0)
-        else:
-            n_a[idx] = a_new
-            dists[ix.product][idx] += gain
-    else:
-        a_new = a_full.copy()
-        b_new = b_full.copy()
-        a_new[:, :na] = np.maximum(a - rs, 0.0)
-        b_new[:, :nb] = np.maximum(b - cs, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = a_new + gain
-            n_b[idx] = b_new
-        elif ix.product is ix.collected:
-            n_a[idx] = a_new
-            n_b[idx] = b_new + gain
-        else:
-            n_a[idx] = a_new
-            n_b[idx] = b_new
-            dists[ix.product][idx] += gain
-
-
 def coal_bott_step(
     dists: dict[Species, np.ndarray],
     temperature: np.ndarray,
@@ -872,8 +598,6 @@ def coal_bott_step(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
-    use_batched: bool = False,
-    workspace: CoalWorkspace | None = None,
 ) -> CoalWorkStats:
     """Advance all distributions by one collision step, in place.
 
@@ -886,69 +610,14 @@ def coal_bott_step(
     collision stage builds it once per step for both the work
     prediction and the update). ``use_sparse`` picks the contraction
     engine; both produce the same physics, with relative differences
-    only at the float-associativity level (~1e-14 in float64).
-    ``use_batched`` (sparse engine only) runs each interaction through
-    the stacked-GEMM apply over a persistent :class:`CoalWorkspace`
-    (``workspace``, defaulting to the calling thread's registered
-    instance) — same physics to ≤1e-12.
+    only at the float-associativity level (~1e-14 in float64). This is
+    the one-member case of :func:`coal_bott_step_members`.
     """
-    npts = temperature.shape[0]
-    if selection is None and npts:
-        selection = CoalSelection.build(dists, temperature)
-    stats = predict_coal_work(
-        dists, temperature, tables, interactions, occupied, on_demand,
-        selection=selection,
-    )
-    if npts == 0:
-        return stats
-
-    nkr = next(iter(dists.values())).shape[1]
-    dtype = np.dtype(dtype)
-    w_full = (
-        (np.asarray(pressure_mb) - KERNEL_P_LOW_MB)
-        / (KERNEL_P_HIGH_MB - KERNEL_P_LOW_MB)
-    ).astype(dtype)
-    use_sparse = use_sparse and _pair_split(nkr).triangular
-    g_split = None if use_sparse else _split_tensor(nkr)
-    if use_sparse and use_batched and workspace is None:
-        workspace = get_coal_workspace(dtype)
-    live = selection.fork()
-
-    for ix in interactions:
-        sel = live.mask(ix)
-        if not sel.any():
-            continue
-        idx = np.flatnonzero(sel)
-        a_full = dists[ix.collector][idx]
-        b_full = dists[ix.collected][idx]
-
-        # Restrict the pair loops to occupied bins: empty bins contribute
-        # exact zeros, so the result is bitwise identical while the work
-        # shrinks to what the scalar code's occupied-bin bounds would do.
-        if occupied is not None:
-            na = max(1, int(occupied[ix.collector][idx].max()))
-            nb = max(1, int(occupied[ix.collected][idx].max()))
-        else:
-            na = nb = nkr
-        ws = w_full[idx]
-
-        if use_sparse and use_batched:
-            _apply_sparse_batched(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables,
-                nkr, workspace,
-            )
-        elif use_sparse:
-            _apply_sparse(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables, nkr
-            )
-        else:
-            _apply_dense(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables,
-                nkr, g_split,
-            )
-        live.refresh(dists, {ix.collector, ix.collected, ix.product}, idx)
-
-    return stats
+    return coal_bott_step_members(
+        dists, temperature, pressure_mb, dt, tables, interactions,
+        [(0, temperature.shape[0])], occupied=occupied, on_demand=on_demand,
+        dtype=dtype, selection=selection, use_sparse=use_sparse,
+    )[0]
 
 
 def coal_bott_step_members(
@@ -964,15 +633,13 @@ def coal_bott_step_members(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
-    use_batched: bool = False,
-    workspace: CoalWorkspace | None = None,
 ) -> list[CoalWorkStats]:
     """One collision step over member-concatenated points, in place.
 
     ``dists`` holds every member's active points concatenated
     member-major; ``segments[m]`` is member ``m``'s row range. Returns
-    the per-member work stats a solo :func:`coal_bott_step` of each
-    member would report.
+    the per-member work stats, equal to what a call on each member's
+    rows alone reports.
 
     What is shared across members is everything row-local: the
     temperature-gate cache, the per-row sums, the interaction masks,
@@ -982,12 +649,12 @@ def coal_bott_step_members(
     GEMM/GEMV results for a given row depend on the call's total row
     count (kernel/blocking selection), so concatenating members' rows
     into one apply would perturb rows at the ulp level — and the
-    occupied-bin rectangle ``(na, nb)`` is member-specific anyway (the
-    solo step takes the *member's* max, and the rectangle sets the BLAS
-    inner dimension). Each member's apply therefore runs on exactly its
-    own rows at exactly its solo rectangle, which reproduces the solo
-    update bit-for-bit; members write disjoint row sets, so their order
-    is immaterial.
+    occupied-bin rectangle ``(na, nb)`` is member-specific anyway (it
+    is the *member's* max, and the rectangle sets the BLAS inner
+    dimension). Each member's apply therefore runs on exactly its own
+    rows at exactly its own rectangle, which reproduces a separate run
+    of that member bit-for-bit; members write disjoint row sets, so
+    their order is immaterial.
     """
     npts = temperature.shape[0]
     if selection is None and npts:
@@ -1007,8 +674,6 @@ def coal_bott_step_members(
     ).astype(dtype)
     use_sparse = use_sparse and _pair_split(nkr).triangular
     g_split = None if use_sparse else _split_tensor(nkr)
-    if use_sparse and use_batched and workspace is None:
-        workspace = get_coal_workspace(dtype)
     live = selection.fork()
     starts = np.asarray([s for s, _ in segments])
     stops = np.asarray([e for _, e in segments])
@@ -1027,6 +692,10 @@ def coal_bott_step_members(
             if hi == lo:
                 continue
             rows = idx[lo:hi]
+            # Restrict the pair loops to occupied bins: empty bins
+            # contribute exact zeros, so the result is bitwise identical
+            # while the work shrinks to what the scalar code's
+            # occupied-bin bounds would do.
             if occ_a is not None:
                 na = max(1, int(occ_a[rows].max()))
                 nb = max(1, int(occ_b[rows].max()))
@@ -1035,12 +704,7 @@ def coal_bott_step_members(
             a_full = dists[ix.collector][rows]
             b_full = dists[ix.collected][rows]
             ws = w_full[rows]
-            if use_sparse and use_batched:
-                _apply_sparse_batched(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr, workspace,
-                )
-            elif use_sparse:
+            if use_sparse:
                 _apply_sparse(
                     dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
                     tables, nkr,

@@ -111,7 +111,7 @@ def _remap_spectrum(
 
 
 def _segmented_rowdot(
-    a: np.ndarray, v: np.ndarray, segments: list[tuple[int, int]] | None
+    a: np.ndarray, v: np.ndarray, segments: list[tuple[int, int]]
 ) -> np.ndarray:
     """Row-wise ``a @ v``, issued one BLAS call per row segment.
 
@@ -119,11 +119,9 @@ def _segmented_rowdot(
     many other rows share the call (kernel/blocking selection depends on
     the row count), so batching several members' rows into one ``a @ v``
     can perturb single rows at the ulp level. Splitting the call at
-    member boundaries reproduces each member's solo contraction
-    bit-for-bit; with ``segments=None`` this is exactly ``a @ v``.
+    member boundaries reproduces each member's own contraction
+    bit-for-bit; one segment covering every row is exactly ``a @ v``.
     """
-    if segments is None:
-        return a @ v
     out = np.empty(a.shape[0], dtype=np.result_type(a, v))
     for s, e in segments:
         if e > s:
@@ -138,16 +136,15 @@ def _grow_species(
     growth_coeff: np.ndarray,
     dt: float,
     grid: BinGrid,
+    row_segments: list[tuple[int, int]],
     native: bool = True,
-    row_segments: list[tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One species' growth step.
 
     Returns ``(n_new, dmass_per_point, evaporated_number)`` with
     ``dmass`` the condensate mass change [g/cm^3] (positive while
     condensing). ``row_segments`` splits the mass contractions at
-    member boundaries when the rows are an ensemble concatenation (see
-    :func:`_segmented_rowdot`).
+    member boundaries (see :func:`_segmented_rowdot`).
     """
     r = grid.radii
     factor = _HABIT_FACTOR.get(sp, 1.0)
@@ -169,63 +166,6 @@ def _grow_species(
     return n_new, dmass, evap
 
 
-def _condensation_core(
-    dists: dict[Species, np.ndarray],
-    species: tuple[Species, ...],
-    over: dict[Species, str],
-    temperature: np.ndarray,
-    pressure_mb: np.ndarray,
-    qv: np.ndarray,
-    rho_air: np.ndarray,
-    ccn: np.ndarray,
-    dt: float,
-    native: bool = True,
-    species_present: dict[Species, bool] | None = None,
-) -> CondWorkStats:
-    """Shared growth driver for onecond1/onecond2 (updates in place).
-
-    ``species_present`` lets the caller pass a conservative per-species
-    presence flag (False only when the species is identically zero in
-    the parent arrays); absent species then skip their occupancy probe
-    entirely — the probe would have been False anyway, so the result is
-    unchanged.
-    """
-    npts = temperature.shape[0]
-    stats = CondWorkStats(points=npts)
-    if npts == 0:
-        return stats
-    grids = species_bins()
-    g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
-
-    for sp in species:
-        n = dists[sp]
-        if species_present is not None and not species_present.get(sp, True):
-            continue
-        if not (n.sum(axis=1) > N_EPS).any():
-            continue
-        qs = saturation_mixing_ratio(temperature, pressure_mb, over[sp])
-        s = qv / qs - 1.0
-        # Limit condensation so vapor cannot be driven below saturation
-        # (nor evaporation above it) in a single explicit step.
-        n_new, dmass, evap = _grow_species(
-            n, sp, s, g_coeff, dt, grids[sp], native=native
-        )
-        dq = dmass / rho_air  # condensate increment in mixing ratio
-        room = np.where(dq >= 0.0, np.maximum(qv - qs, 0.0), np.maximum(qs - qv, 0.0))
-        scale = np.where(np.abs(dq) > room, room / np.maximum(np.abs(dq), 1e-300), 1.0)
-        scale = np.clip(scale, 0.0, 1.0)
-        blended = n + scale[:, None] * (n_new - n)
-        dmass = (blended - n) @ grids[sp].masses
-        dq = dmass / rho_air
-        dists[sp][...] = blended
-        qv -= dq
-        process = "condensation" if sp is Species.LIQUID else "deposition"
-        temperature += latent_heating(dq, process)
-        ccn += scale * evap if sp is Species.LIQUID else 0.0
-        stats.bin_updates += float(npts * n.shape[1])
-    return stats
-
-
 def _condensation_core_members(
     dists: dict[Species, np.ndarray],
     species: tuple[Species, ...],
@@ -240,32 +180,31 @@ def _condensation_core_members(
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
 ) -> list[CondWorkStats]:
-    """Member-batched growth driver; per-member bit-identical to solo.
+    """Growth driver for onecond1/onecond2 (updates in place).
 
-    The call arrays are per-member gathers concatenated member-major;
+    Member ``m``'s fields and stats are bit-identical to a call on its
+    rows alone; the solo routines are the one-segment case. The call
+    arrays are per-member gathers concatenated member-major;
     ``segments[m]`` is member ``m``'s ``(start, stop)`` row range (empty
     ranges allowed). Elementwise thermodynamics and the per-point
     KO-remap scatter are row-local, so they run once over the
     concatenation and produce each member's rows bit-for-bit. The
     ``n @ masses`` contractions are the exception — BLAS matvec results
     depend on the call's row count — so those are issued one BLAS call
-    per member segment (:func:`_segmented_rowdot`), matching each solo
-    contraction exactly.
+    per member segment (:func:`_segmented_rowdot`), matching each
+    member's own contraction exactly.
 
-    The one member-sensitive part is the per-species skip logic: solo
-    runs skip a species when the member's presence flag is off or none
-    of its rows exceed ``N_EPS``, and a skipped species must not touch
-    that member's rows (they may hold tiny sub-threshold values a grow
-    step would perturb) nor its work stats. Each species therefore
-    processes only the row ranges of members that pass their own gates,
-    and per-member ``bin_updates`` accumulate only for those members —
-    exactly the solo accounting.
+    The one member-sensitive part is the per-species skip logic: a
+    species is skipped for a member when the member's conservative
+    presence flag (``species_present[m]``, False only when the species
+    is identically zero there) is off or none of its rows exceed
+    ``N_EPS``, and a skipped species must not touch that member's rows
+    (they may hold tiny sub-threshold values a grow step would perturb)
+    nor its work stats. Each species therefore processes only the row
+    ranges of members that pass their own gates, and per-member
+    ``bin_updates`` accumulate only for those members.
     """
-    nm = len(segments)
-    stats = [
-        CondWorkStats(points=(e - s)) if e > s else CondWorkStats()
-        for (s, e) in segments
-    ]
+    stats = [CondWorkStats(points=e - s) for (s, e) in segments]
     npts = temperature.shape[0]
     if npts == 0:
         return stats
@@ -275,18 +214,20 @@ def _condensation_core_members(
     for sp in species:
         n = dists[sp]
         nkr = n.shape[1]
+        # Presence flags first: the row sums are only worth taking once
+        # some member may carry the species.
+        flagged = [
+            m
+            for m, (s, e) in enumerate(segments)
+            if e > s
+            and (species_present is None or species_present[m].get(sp, True))
+        ]
+        if not flagged:
+            continue
         rowsum_hot = n.sum(axis=1) > N_EPS
-        passing = []
-        for m, (s, e) in enumerate(segments):
-            if e == s:
-                continue
-            if species_present is not None and not species_present[m].get(
-                sp, True
-            ):
-                continue
-            if not rowsum_hot[s:e].any():
-                continue
-            passing.append(m)
+        passing = [
+            m for m in flagged if rowsum_hot[segments[m][0] : segments[m][1]].any()
+        ]
         if not passing:
             continue
         seg_pass = [segments[m] for m in passing]
@@ -309,10 +250,11 @@ def _condensation_core_members(
         qs = saturation_mixing_ratio(t_s, p_s, over[sp])
         s_sat = qv_s / qs - 1.0
         n_new, dmass, evap = _grow_species(
-            nn, sp, s_sat, gc_s, dt, grids[sp], native=native,
-            row_segments=sub_segments,
+            nn, sp, s_sat, gc_s, dt, grids[sp], sub_segments, native=native
         )
-        dq = dmass / rho_s
+        # Limit condensation so vapor cannot be driven below saturation
+        # (nor evaporation above it) in a single explicit step.
+        dq = dmass / rho_s  # condensate increment in mixing ratio
         room = np.where(
             dq >= 0.0, np.maximum(qv_s - qs, 0.0), np.maximum(qs - qv_s, 0.0)
         )
@@ -358,19 +300,12 @@ def onecond1(
     species_present: dict[Species, bool] | None = None,
 ) -> CondWorkStats:
     """Liquid-only condensation/evaporation (warm grid points)."""
-    return _condensation_core(
-        dists,
-        (Species.LIQUID,),
-        {Species.LIQUID: "water"},
-        temperature,
-        pressure_mb,
-        qv,
-        rho_air,
-        ccn,
-        dt,
+    return onecond1_members(
+        dists, temperature, pressure_mb, qv, rho_air, ccn, dt,
+        [(0, temperature.shape[0])],
+        species_present=None if species_present is None else [species_present],
         native=native,
-        species_present=species_present,
-    )
+    )[0]
 
 
 def onecond2(
@@ -385,12 +320,12 @@ def onecond2(
     species_present: dict[Species, bool] | None = None,
 ) -> CondWorkStats:
     """Mixed-phase condensation/deposition (liquid + all ice species)."""
-    species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
-    over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
-    return _condensation_core(
-        dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
-        native=native, species_present=species_present,
-    )
+    return onecond2_members(
+        dists, temperature, pressure_mb, qv, rho_air, ccn, dt,
+        [(0, temperature.shape[0])],
+        species_present=None if species_present is None else [species_present],
+        native=native,
+    )[0]
 
 
 def onecond1_members(

@@ -39,7 +39,10 @@ from repro.fsbm.coal_bott import (
     predict_coal_work,
 )
 from repro.fsbm.collision_kernels import KernelTables, get_tables
-from repro.fsbm.condensation import (
+# ``onecond1``/``onecond2`` are not called here (the solo driver routes
+# through the member-batched routines) but stay importable from this
+# module, where instrumentation wraps the physics entry points by name.
+from repro.fsbm.condensation import (  # noqa: F401
     CondWorkStats,
     onecond1,
     onecond1_members,
@@ -117,7 +120,6 @@ class FastSBM:
         offload_condensation: bool = False,
         autocompare: bool = False,
         use_native_physics: bool = True,
-        use_batched_coal: bool = False,
     ):
         self.stage = stage
         self.spec: StageSpec = STAGE_SPECS[stage]
@@ -137,8 +139,6 @@ class FastSBM:
         #: Route sedimentation/condensation through the compiled kernels
         #: of :mod:`repro.fsbm.ckernels` (numpy fallback is automatic).
         self.use_native_physics = use_native_physics
-        #: Route collisions through the batched-GEMM workspace engine.
-        self.use_batched_coal = use_batched_coal
         self.temp_arrays: TempArrays | None = None
         if stage.uses_gpu and engine is None:
             raise ConfigurationError(f"stage {stage} requires an offload engine")
@@ -272,31 +272,15 @@ class FastSBM:
         warm: np.ndarray,
         species_present: dict[Species, bool] | None = None,
     ) -> CondWorkStats:
-        """Route warm points to onecond1 and mixed-phase to onecond2."""
-        total = CondWorkStats()
-        for mask, routine in ((warm, onecond1), (~warm, onecond2)):
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            sub = {sp: d[idx] for sp, d in g_dists.items()}
-            st, sp_, sq, sr, sc = (
-                g_t[idx],
-                g_p[idx],
-                g_qv[idx],
-                g_rho[idx],
-                g_ccn[idx],
-            )
-            total.merge(
-                routine(
-                    sub, st, sp_, sq, sr, sc, self.dt,
-                    native=self.use_native_physics,
-                    species_present=species_present,
-                )
-            )
-            for sp in g_dists:
-                g_dists[sp][idx] = sub[sp]
-            g_t[idx], g_qv[idx], g_ccn[idx] = st, sq, sc
-        return total
+        """Route warm points to onecond1 and mixed-phase to onecond2.
+
+        The one-member case of :func:`_condensation_members`.
+        """
+        return _condensation_members(
+            [self], g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
+            [(0, g_t.shape[0])],
+            None if species_present is None else [species_present],
+        )[0]
 
     def _condensation_offloaded(
         self,
@@ -413,7 +397,7 @@ class FastSBM:
         c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
         c_t = g_t[cidx]
         c_p = g_p[cidx]
-        occupied = self._occupied(c_dists)
+        occupied = _occupied_rows(c_dists)
         # One selection for the whole step: the work prediction and the
         # update (and its fp64 shadow) all test the same pre-step state.
         selection = CoalSelection(c_t, {sp: s[cidx] for sp, s in sums.items()}, {})
@@ -429,7 +413,6 @@ class FastSBM:
                 occupied=occupied,
                 on_demand=self.stage.on_demand_kernels,
                 selection=selection,
-                use_batched=self.use_batched_coal,
             )
             self._charge_cpu(
                 work.flops, work.bytes_moved, iterations=int(work.pair_entries)
@@ -442,18 +425,6 @@ class FastSBM:
         for sp in g_dists:
             g_dists[sp][cidx] = c_dists[sp]
         return work, int(cidx.size), record
-
-    def _occupied(
-        self, dists: dict[Species, np.ndarray]
-    ) -> dict[Species, np.ndarray]:
-        """Occupied-bin counts per species for the gathered points."""
-        out: dict[Species, np.ndarray] = {}
-        for sp, d in dists.items():
-            present = d > N_EPS
-            rev = present[:, ::-1]
-            first = np.argmax(rev, axis=1)
-            out[sp] = np.where(present.any(axis=1), d.shape[1] - first, 0)
-        return out
 
     def _collisions_offloaded(
         self,
@@ -497,7 +468,6 @@ class FastSBM:
                     on_demand=True,
                     dtype=np.float64,
                     selection=selection,
-                    use_batched=self.use_batched_coal,
                 )
             coal_bott_step(
                 c_dists,
@@ -510,7 +480,6 @@ class FastSBM:
                 on_demand=True,
                 dtype=device_dtype,
                 selection=selection,
-                use_batched=self.use_batched_coal,
             )
             if shadow is not None:
                 from repro.core.autocompare import autocompare_region
@@ -656,14 +625,15 @@ def _condensation_members(
     g_ccn: np.ndarray,
     warm: np.ndarray,
     segments: list[tuple[int, int]],
-    sp_present: list[dict[Species, bool]],
+    sp_present: list[dict[Species, bool]] | None,
 ) -> list[CondWorkStats]:
     """Warm/mixed-phase routing over the member concatenation.
 
-    Mirrors :meth:`FastSBM._condensation`: the warm and cold subsets
-    are gathered over all members at once (member-major order is
-    preserved by ``flatnonzero``), and the member-batched onecond cores
-    handle the per-member gates and BLAS splits.
+    The warm and cold subsets are gathered over all members at once
+    (member-major order is preserved by ``flatnonzero``), and the
+    member-batched onecond cores handle the per-member gates and BLAS
+    splits. ``sp_present=None`` treats every species as possibly
+    present.
     """
     nm = len(segments)
     totals = [CondWorkStats() for _ in range(nm)]
@@ -855,7 +825,7 @@ def step_members(
                     c_dists, c_t, c_p, dt, lead.tables, INTERACTIONS,
                     coal_segments, occupied=occupied,
                     on_demand=lead.stage.on_demand_kernels,
-                    selection=selection, use_batched=lead.use_batched_coal,
+                    selection=selection,
                 )
                 for sp in g_dists:
                     g_dists[sp][cidx] = c_dists[sp]

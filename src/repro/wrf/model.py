@@ -143,7 +143,6 @@ def build_rank_sbm(
         precision=namelist.device_precision,
         offload_condensation=namelist.offload_condensation,
         use_native_physics=namelist.use_native_physics,
-        use_batched_coal=namelist.use_batched_coal,
     )
 
 

@@ -2,27 +2,18 @@
 
 The contract of :mod:`repro.fsbm.ckernels` (see its module docstring):
 the fused sedimentation sweep and the KO-remap scatter are **bit
-identical** to the numpy paths; the batched collision engine agrees to
-the ~1e-12 level (its fused GEMM inner dimension reorders the pressure
-interpolation); every compiled path degrades to numpy under
-``REPRO_DISABLE_CPHYS``.
+identical** to the numpy paths, and every compiled path degrades to
+numpy under ``REPRO_DISABLE_CPHYS``.
 """
 
 import numpy as np
 import pytest
 
 from repro.fsbm import ckernels
-from repro.fsbm.coal_bott import (
-    CoalWorkspace,
-    coal_bott_step,
-    get_coal_workspace,
-)
-from repro.fsbm.collision_kernels import get_tables
 from repro.fsbm.condensation import _remap_spectrum
 from repro.fsbm.sedimentation import _courant_tables, sedimentation_step
-from repro.fsbm.species import INTERACTIONS, Species, species_bins
+from repro.fsbm.species import Species, species_bins
 from repro.fsbm.state import MicroState
-from tests.conftest import make_liquid_dists, total_mass
 
 NKR = 33
 SPLIST = list(Species)
@@ -180,105 +171,3 @@ class TestRemapScatter:
         n_off, e_off = _remap_spectrum(n, new_mass, grid)
         np.testing.assert_array_equal(n_nat, n_off)
         np.testing.assert_array_equal(e_nat, e_off)
-
-
-# --- batched collision engine ------------------------------------------------
-
-
-def _coal_run(dists, t=280.0, dt=5.0, batched=False, workspace=None):
-    npts = next(iter(dists.values())).shape[0]
-    return coal_bott_step(
-        dists,
-        np.full(npts, t),
-        np.full(npts, 700.0),
-        dt,
-        get_tables(),
-        INTERACTIONS,
-        use_batched=batched,
-        workspace=workspace,
-    )
-
-
-def _assert_dists_close(got, want, rtol=1e-12):
-    for sp in Species:
-        scale = float(np.abs(want[sp]).max()) or 1.0
-        np.testing.assert_allclose(
-            got[sp], want[sp], rtol=rtol, atol=rtol * scale, err_msg=str(sp)
-        )
-
-
-class TestBatchedCoal:
-    def test_matches_unbatched_warm_rain(self):
-        a = make_liquid_dists(24, seed=3)
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a)
-        _coal_run(b, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
-
-    def test_matches_unbatched_mixed_phase(self):
-        rng = np.random.default_rng(4)
-        a = {sp: np.zeros((16, NKR)) for sp in Species}
-        for sp in (Species.LIQUID, Species.SNOW, Species.GRAUPEL,
-                   Species.ICE_PLA):
-            a[sp][:, 4:20] = rng.uniform(0.0, 2.0, (16, 16))
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a, t=258.0)
-        _coal_run(b, t=258.0, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
-
-    def test_matches_unbatched_when_limiter_binds(self):
-        # 100x concentrations at a large dt force the positivity
-        # limiter's rescale branch in nearly every interaction.
-        a = make_liquid_dists(12, seed=9, lo_bin=10, hi_bin=25)
-        a[Species.LIQUID] *= 100.0
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a, dt=60.0)
-        _coal_run(b, dt=60.0, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
-        assert (b[Species.LIQUID] >= 0).all()
-
-    def test_mass_conserved(self):
-        dists = make_liquid_dists(20, seed=2)
-        before = total_mass(dists)
-        _coal_run(dists, batched=True, workspace=CoalWorkspace())
-        assert total_mass(dists) == pytest.approx(before, rel=1e-10)
-
-    def test_empty_state_short_circuits(self):
-        dists = {sp: np.zeros((8, NKR)) for sp in Species}
-        ws = CoalWorkspace()
-        stats = _coal_run(dists, batched=True, workspace=ws)
-        assert stats.pair_entries == 0
-        assert ws.allocations == 0  # no interaction ever applied
-        assert total_mass(dists) == 0.0
-
-
-class TestCoalWorkspace:
-    def test_zero_allocations_after_warmup(self):
-        initial = make_liquid_dists(32, seed=6)
-        ws = CoalWorkspace()
-        _coal_run({sp: d.copy() for sp, d in initial.items()},
-                  batched=True, workspace=ws)
-        assert ws.allocations > 0
-        assert ws.nbytes > 0
-        warm = ws.allocations
-        for _ in range(3):
-            _coal_run({sp: d.copy() for sp, d in initial.items()},
-                      batched=True, workspace=ws)
-        assert ws.allocations == warm  # steady state reuses every buffer
-
-    def test_buffers_grow_monotonically(self):
-        ws = CoalWorkspace()
-        a = ws.buffer("x", (4, 8))
-        assert a.shape == (4, 8) and ws.allocations == 1
-        # Smaller request reuses the pool; larger one grows it.
-        ws.buffer("x", (2, 8))
-        assert ws.allocations == 1
-        ws.buffer("x", (8, 8))
-        assert ws.allocations == 2
-
-    def test_registry_keyed_by_owner(self):
-        ws1 = get_coal_workspace(owner="test-owner-a")
-        ws2 = get_coal_workspace(owner="test-owner-a")
-        ws3 = get_coal_workspace(owner="test-owner-b")
-        assert ws1 is ws2
-        assert ws1 is not ws3

@@ -102,6 +102,45 @@ class TestHarness:
         (tmp_path / "BENCH_abc123.json").write_text("{}")
         assert harness.find_baseline().name == "BENCH_abc123.json"
 
+    def test_find_baseline_orders_by_commit_not_mtime(self, tmp_path, monkeypatch):
+        # A fresh checkout gives every file the same mtime; the newest
+        # baseline is the one the newest commit added, whatever its name.
+        monkeypatch.setattr(harness, "REPO_ROOT", tmp_path)
+
+        def git(*args, date=None):
+            env = dict(os.environ)
+            if date:
+                env["GIT_AUTHOR_DATE"] = env["GIT_COMMITTER_DATE"] = date
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, env=env, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        for name, date in (
+            ("BENCH_seed.json", "2020-01-01T00:00:00"),
+            ("BENCH_000111.json", "2020-01-02T00:00:00"),
+            ("BENCH_aaa222.json", "2020-01-03T00:00:00"),
+            ("BENCH_fff333.json", "2020-01-04T00:00:00"),
+        ):
+            (tmp_path / name).write_text("{}")
+            git("add", name)
+            git("commit", "-q", "-m", name, date=date)
+        # One mtime for every file, as a fresh checkout leaves them; the
+        # newest commit added the file that sorts last by name.
+        for p in tmp_path.glob("BENCH_*.json"):
+            os.utime(p, (1_000_000_000, 1_000_000_000))
+        assert harness.find_baseline().name == "BENCH_fff333.json"
+        assert (
+            harness.find_baseline(exclude=tmp_path / "BENCH_fff333.json").name
+            == "BENCH_aaa222.json"
+        )
+        # A freshly written, uncommitted baseline is newer than any
+        # committed one.
+        (tmp_path / "BENCH_bbb444.json").write_text("{}")
+        os.utime(tmp_path / "BENCH_bbb444.json", (1_000_000_000, 1_000_000_000))
+        assert harness.find_baseline().name == "BENCH_bbb444.json"
+
 
 def _payload_from(bench: harness.KernelBench, name: str) -> dict:
     return {
@@ -224,16 +263,6 @@ class TestPhysicsBenches:
         assert b.extra["npts"] == 64
         assert isinstance(b.extra["compiled"], bool)
 
-    def test_coal_apply_payload(self):
-        b = harness.bench_coal_apply(npts=64, reps=2)
-        assert b.name == "coal_apply_batched"
-        assert b.extra["workspace_bytes"] > 0
-        # The persistent workspace is warm after rep 1: the recorded
-        # allocation count must not grow with reps.
-        again = harness.bench_coal_apply(npts=64, reps=2)
-        assert again.extra["workspace_allocations"] == b.extra[
-            "workspace_allocations"
-        ]
 
 
 class TestLiveQuickGate:
