@@ -706,8 +706,10 @@ def bench_sedimentation(
     """Time one full-state sedimentation step at a fixed shape.
 
     Every species is seeded so the sweep has no absent-species
-    shortcuts; the shape is fixed regardless of ``--quick`` so quick
-    and full gate runs compare like with like. Records whether the
+    shortcuts; the shape and the rep count are fixed regardless of
+    ``--quick`` so quick and full gate runs compare like with like (a
+    rep takes ~2 ms, and the median of three such reps moves with any
+    scheduler hiccup on a shared host). Records whether the
     compiled ``sed_sweep`` kernel (vs the numpy fallback) ran.
     """
     from repro.fsbm import ckernels
@@ -878,7 +880,7 @@ def collect(
             results.append(bench_model_step_members(n, reps=model_reps))
             ran_members.add(n)
     if want("sedimentation"):
-        results.append(bench_sedimentation(reps=reps))
+        results.append(bench_sedimentation())
     if want("cond_remap"):
         results.append(bench_cond_remap(reps=reps))
     if workers or (wanted is not None and "rank_scaling" in wanted):

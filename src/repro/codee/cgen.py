@@ -34,6 +34,7 @@ from repro.codee.loopir import (
     ArrayParam,
     Assign,
     Bin,
+    Call,
     Const,
     Decl,
     Expr,
@@ -49,6 +50,9 @@ from repro.codee.loopir import (
     Sym,
     Un,
     Select,
+    walk_ir,
+    stmt_exprs,
+    walk_ir_stmts,
 )
 from repro.codee.verifier import VerifierConfig
 from repro.core import cjit
@@ -57,7 +61,9 @@ from repro.errors import IRVerificationError
 _INDENT = "    "
 
 
-def _lit(value: int | float) -> str:
+def _lit(value: int | float, ctype: str = "") -> str:
+    if ctype == "float":
+        return f"{float(value)!r}f"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -75,7 +81,7 @@ class _Emitter:
 
     def expr(self, e: Expr) -> str:
         if isinstance(e, Const):
-            return _lit(e.value)
+            return _lit(e.value, e.ctype)
         if isinstance(e, Sym):
             return e.name
         if isinstance(e, Load):
@@ -89,6 +95,8 @@ class _Emitter:
                 f"({self.expr(e.cond)} ? {self.expr(e.if_true)} : "
                 f"{self.expr(e.if_false)})"
             )
+        if isinstance(e, Call):
+            return f"{e.fn}({', '.join(self.expr(a) for a in e.args)})"
         raise TypeError(f"not an IR expression: {e!r}")
 
     def addr(self, array: str, index: tuple[Expr, ...]) -> str:
@@ -208,9 +216,21 @@ def emit_kernel(kernel: Kernel) -> str:
     return _Emitter(kernel).render()
 
 
+def _uses_intrinsics(kernel: Kernel) -> bool:
+    return any(
+        isinstance(node, Call)
+        for stmt in walk_ir_stmts(kernel.body)
+        for expr in stmt_exprs(stmt)
+        for node in walk_ir(expr)
+    )
+
+
 def emit_module(kernels: Iterable[Kernel], banner: str = "") -> str:
     """A complete translation unit for a set of kernels."""
+    kernels = list(kernels)
     parts = ["#include <stddef.h>", ""]
+    if any(_uses_intrinsics(k) for k in kernels):
+        parts.insert(1, "#include <math.h>")
     if banner:
         parts.insert(0, "/* " + banner.replace("*/", "* /") + " */")
     parts.extend(emit_kernel(k) + "\n" for k in kernels)

@@ -10,6 +10,12 @@ record, severity/category semantics, deterministic ordering, and
 SARIF/JSON plumbing — ``codee verify --ir NAME`` reports them through
 the identical exit-code contract (0 clean / 2 errors).
 
+Pure intrinsic calls (:class:`~repro.codee.loopir.Call`, e.g.
+``ilogb``) are side-effect free by construction — only names in
+``loopir.PURE_INTRINSICS`` can be built — so every rule treats a call
+like an operator: its reads are its arguments' reads and it writes
+nothing.
+
 Since IR kernels have no source file, ``path`` is the synthetic
 ``<ir:kernel_name>`` and ``line`` is the statement's 1-based preorder
 index (:meth:`~repro.codee.loopir.Kernel.statement_lines`), which the

@@ -12,7 +12,7 @@ transform, verify, and finally *emit* them instead of trusting opaque
 C strings:
 
 * expressions — :class:`Const`/:class:`Sym`/:class:`Load`/:class:`Bin`/
-  :class:`Un`/:class:`Select`, frozen dataclasses with structural
+  :class:`Un`/:class:`Select`/:class:`Call`, frozen dataclasses with structural
   equality (the dependence tests compare subscript expressions
   directly) and Python operator overloading so kernel definitions read
   like the math they encode;
@@ -109,9 +109,15 @@ class _ExprOps:
 
 @dataclass(frozen=True)
 class Const(_ExprOps):
-    """Integer or floating literal."""
+    """Integer or floating literal.
+
+    ``ctype="float"`` emits a single-precision literal (``0.5f``), so a
+    kernel built for ``float`` arithmetic is not promoted to double by
+    its constants; the default emits the plain C literal.
+    """
 
     value: int | float
+    ctype: str = ""
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,36 @@ class Select(_ExprOps):
     if_false: "Expr"
 
 
-Expr = Union[Const, Sym, Load, Bin, Un, Select]
+#: C intrinsics a :class:`Call` may name. Each is pure (no side
+#: effects, no global state) and exact: its result does not depend on
+#: the libm in play, which keeps compiled kernels reproducible.
+PURE_INTRINSICS = frozenset({"ilogb", "fabs"})
+
+
+@dataclass(frozen=True)
+class Call(_ExprOps):
+    """Pure intrinsic call ``fn(args...)``, e.g. ``ilogb(x)``.
+
+    Only names in :data:`PURE_INTRINSICS` are accepted, so the
+    analyses may treat a call exactly like an operator: its reads are
+    its arguments' reads and it writes nothing.
+    """
+
+    fn: str
+    args: tuple["Expr", ...]
+
+    def __post_init__(self):
+        if self.fn not in PURE_INTRINSICS:
+            raise ValueError(f"{self.fn!r} is not a pure IR intrinsic")
+
+
+Expr = Union[Const, Sym, Load, Bin, Un, Select, Call]
 ExprLike = Union[Expr, int, float, str]
 
 
 def as_expr(value: ExprLike) -> Expr:
     """Coerce Python scalars/names into IR expressions."""
-    if isinstance(value, (Const, Sym, Load, Bin, Un, Select)):
+    if isinstance(value, (Const, Sym, Load, Bin, Un, Select, Call)):
         return value
     if isinstance(value, bool):  # bool is an int subclass; refuse it
         raise TypeError("bool is not an IR value; use Const(0)/Const(1)")
@@ -191,6 +220,9 @@ def walk_ir(expr: Expr) -> Iterator[Expr]:
         yield from walk_ir(expr.cond)
         yield from walk_ir(expr.if_true)
         yield from walk_ir(expr.if_false)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            yield from walk_ir(arg)
 
 
 def expr_syms(expr: Expr) -> set[str]:
@@ -221,6 +253,8 @@ def subst(expr: Expr, mapping: dict[str, Expr]) -> Expr:
             subst(expr.if_true, mapping),
             subst(expr.if_false, mapping),
         )
+    if isinstance(expr, Call):
+        return Call(expr.fn, tuple(subst(a, mapping) for a in expr.args))
     raise TypeError(f"not an IR expression: {expr!r}")
 
 

@@ -44,6 +44,7 @@ from repro.codee.loopir import (
     ArrayParam,
     Assign,
     Bin,
+    Call,
     Const,
     Decl,
     Expr,
@@ -215,6 +216,8 @@ def _fmt(expr: Expr) -> str:
         return f"{expr.op}{_fmt(expr.operand)}"
     if isinstance(expr, Select):
         return f"({_fmt(expr.cond)} ? {_fmt(expr.if_true)} : {_fmt(expr.if_false)})"
+    if isinstance(expr, Call):
+        return f"{expr.fn}({', '.join(_fmt(a) for a in expr.args)})"
     return "?"
 
 
@@ -727,6 +730,8 @@ def hoist_automatic_arrays(
                     remap(expr.if_true),
                     remap(expr.if_false),
                 )
+            if isinstance(expr, Call):
+                return Call(expr.fn, tuple(remap(a) for a in expr.args))
             return expr
 
         def retarget(stmts: list[Stmt]) -> None:

@@ -32,6 +32,13 @@ Two contraction engines share these semantics:
   triangular structure and the step silently falls back to the dense
   engine if a grid ever violates it.
 
+With ``native`` (the default; ``FastSBM`` passes ``use_native_physics``)
+the sparse engine keeps BLAS for its contractions and runs everything
+elementwise — losses, limiter, gain families, clamps, write-back — in
+two compiled row-local passes (:func:`_apply_native`); without it, or
+when the kernels are unavailable, the numpy form (:func:`_apply_sparse`)
+runs, which is the bit-exact reference.
+
 The pressure dependence of the kernel is handled with the rank-2
 identity ``K(p) = K500 + w(p) * (K750 - K500)`` so per-point kernel
 tables are never materialized — the same values the Fortran obtains per
@@ -55,6 +62,7 @@ import numpy as np
 
 from repro.constants import KERNEL_P_HIGH_MB, KERNEL_P_LOW_MB
 from repro.core.cache import cached, get_cache
+from repro.fsbm import ckernels
 from repro.fsbm.bins import BinGrid
 from repro.fsbm.collision_kernels import FLOPS_PER_ENTRY, KernelTables, tables_token
 from repro.fsbm.species import Interaction, Species
@@ -586,6 +594,121 @@ def _apply_sparse(
             dists[ix.product][idx] += gain
 
 
+#: Rows per block of the compiled collision passes. Bounds the
+#: operator-product temporaries (about 1.6 MB per side at nkr = 33):
+#: unblocked, the storm forecast's peak RSS grew ~10 MB over 240 steps
+#: and its step ran ~20% slower. Typical applies — a few hundred to a
+#: few thousand rows — still take one to three blocks.
+NATIVE_BLOCK_ROWS = 1024
+
+
+def _apply_native(
+    lib,
+    dists: dict[Species, np.ndarray],
+    ix: Interaction,
+    idx: np.ndarray,
+    na: int,
+    nb: int,
+    ws: np.ndarray,
+    dt: float,
+    dtype: np.dtype,
+    tables: KernelTables,
+    nkr: int,
+) -> None:
+    """One interaction's sparse update through the compiled passes.
+
+    The same physics as :func:`_apply_sparse`, on the same cached
+    operators: BLAS does the operator contractions and the elementwise
+    remainder runs as two row-local C passes —
+    :func:`repro.fsbm.ckernels.coal_limit` (pre-limit losses, bind
+    test, limited spectra) and :func:`repro.fsbm.ckernels.coal_update`
+    (final losses, gain families, clamped write-back through ``idx``).
+    When the limiter binds, the loss products are recomputed from
+    ``ap``/``bp`` exactly as the numpy engine does.
+
+    Rows go through in blocks of :data:`NATIVE_BLOCK_ROWS` counted from
+    the start of ``idx`` — one member's rows — so a member's blocks,
+    and with them its results, do not depend on the other members.
+    """
+    ops = _coal_operators(tables, ix.name, nkr, na, nb, dtype)
+    for s in range(0, idx.shape[0], NATIVE_BLOCK_ROWS):
+        _apply_native_block(
+            lib, dists, ix, idx[s : s + NATIVE_BLOCK_ROWS], na, nb,
+            ws[s : s + NATIVE_BLOCK_ROWS], dt, dtype, ops,
+        )
+
+
+def _products(x: np.ndarray, mats: tuple) -> np.ndarray:
+    """``[x @ m for m in mats]`` side by side in one ``(rows, k*n)`` array.
+
+    One GEMM per operator, as in the numpy engine. Stacking the
+    operators along N into one GEMM was measured slower: the wider
+    product crosses OpenBLAS's multithreading threshold, and two
+    process-rank workers each running two BLAS threads on two cores
+    took the ``ensemble_ranks`` step from ~200 ms to 325-385 ms.
+    """
+    width = mats[0].shape[1]
+    out = np.empty((x.shape[0], len(mats) * width), dtype=x.dtype)
+    for k, m in enumerate(mats):
+        np.matmul(x, m, out=out[:, k * width : (k + 1) * width])
+    return out
+
+
+def _apply_native_block(
+    lib,
+    dists: dict[Species, np.ndarray],
+    ix: Interaction,
+    idx: np.ndarray,
+    na: int,
+    nb: int,
+    ws: np.ndarray,
+    dt: float,
+    dtype: np.dtype,
+    ops: tuple,
+) -> None:
+    """:func:`_apply_native` on one block of rows."""
+    (k5t, k5, l5t, lh5t, u5, uh5, d5), (kdt, kd, ldt, lhdt, ud, uhd, dd) = ops
+    n_a = dists[ix.collector]
+    n_b = dists[ix.collected]
+    selfc = ix.self_collection
+    a = np.asarray(n_a[idx, :na], dtype=dtype)
+    b = a if selfc else np.asarray(n_b[idx, :nb], dtype=dtype)
+    half = dtype.type(0.5) if selfc else dtype.type(1.0)
+
+    pk = (_products(b, (k5t, kdt)), _products(a, (k5, kd)))
+    limited = ckernels.coal_limit(lib, a, b, pk[0], pk[1], ws, half, dt, selfc)
+    if limited is None:
+        ap, bp = a, b
+    else:
+        ap, bp = limited
+        pk = (_products(bp, (k5t, kdt)), _products(ap, (k5, kd)))
+    pg = (
+        _products(bp, (l5t, ldt, lh5t, lhdt)),
+        _products(ap, (u5, ud, uh5, uhd)),
+    )
+    if ix.product is ix.collector:
+        pmode = 1
+    elif ix.product is ix.collected:
+        pmode = 2
+    else:
+        pmode = 0
+    ckernels.coal_update(
+        lib, idx, a, b, ap, bp, pk, pg, ws, (d5, dd),
+        (n_a, n_b, dists[ix.product]), half, dt, selfc, pmode,
+    )
+
+
+def _native_lib(dists: dict[Species, np.ndarray], dtype: np.dtype, nkr: int):
+    """The compiled kernels when they can run this call, else ``None``."""
+    if dtype not in (np.float32, np.float64) or nkr > ckernels.MAX_NKR:
+        return None
+    if not all(
+        d.dtype == np.float64 and d.flags.c_contiguous for d in dists.values()
+    ):
+        return None
+    return ckernels.load_kernels()
+
+
 def coal_bott_step(
     dists: dict[Species, np.ndarray],
     temperature: np.ndarray,
@@ -598,6 +721,7 @@ def coal_bott_step(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
+    native: bool = True,
 ) -> CoalWorkStats:
     """Advance all distributions by one collision step, in place.
 
@@ -610,13 +734,17 @@ def coal_bott_step(
     collision stage builds it once per step for both the work
     prediction and the update). ``use_sparse`` picks the contraction
     engine; both produce the same physics, with relative differences
-    only at the float-associativity level (~1e-14 in float64). This is
-    the one-member case of :func:`coal_bott_step_members`.
+    only at the float-associativity level (~1e-14 in float64).
+    ``native`` runs the sparse engine's elementwise work through the
+    compiled passes of :mod:`repro.fsbm.ckernels` when they load (the
+    numpy engine otherwise). This is the one-member case of
+    :func:`coal_bott_step_members`.
     """
     return coal_bott_step_members(
         dists, temperature, pressure_mb, dt, tables, interactions,
         [(0, temperature.shape[0])], occupied=occupied, on_demand=on_demand,
         dtype=dtype, selection=selection, use_sparse=use_sparse,
+        native=native,
     )[0]
 
 
@@ -633,6 +761,7 @@ def coal_bott_step_members(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
+    native: bool = True,
 ) -> list[CoalWorkStats]:
     """One collision step over member-concatenated points, in place.
 
@@ -654,7 +783,8 @@ def coal_bott_step_members(
     dimension). Each member's apply therefore runs on exactly its own
     rows at exactly its own rectangle, which reproduces a separate run
     of that member bit-for-bit; members write disjoint row sets, so
-    their order is immaterial.
+    their order is immaterial. The compiled passes (``native``) are
+    row-local, so they keep this per-member identity.
     """
     npts = temperature.shape[0]
     if selection is None and npts:
@@ -674,6 +804,7 @@ def coal_bott_step_members(
     ).astype(dtype)
     use_sparse = use_sparse and _pair_split(nkr).triangular
     g_split = None if use_sparse else _split_tensor(nkr)
+    lib = _native_lib(dists, dtype, nkr) if native and use_sparse else None
     live = selection.fork()
     starts = np.asarray([s for s, _ in segments])
     stops = np.asarray([e for _, e in segments])
@@ -701,6 +832,12 @@ def coal_bott_step_members(
                 nb = max(1, int(occ_b[rows].max()))
             else:
                 na = nb = nkr
+            if lib is not None:
+                _apply_native(
+                    lib, dists, ix, rows, na, nb, w_full[rows], dt, dtype,
+                    tables, nkr,
+                )
+                continue
             a_full = dists[ix.collector][rows]
             b_full = dists[ix.collected][rows]
             ws = w_full[rows]

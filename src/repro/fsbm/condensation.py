@@ -4,9 +4,15 @@
 treats mixed-phase points, growing liquid against water saturation and
 ice species against ice saturation. Bin masses grow by
 ``dm = 4 pi rho_p r G S dt`` and the spectrum is remapped onto the mass
-ladder with the Kovetz–Olund two-bin split (vectorized scatter). Vapor
-and temperature are updated from the exact remapped mass change, so
-water mass and moist enthalpy are conserved to rounding.
+ladder with the Kovetz–Olund two-bin split. Vapor and temperature are
+updated from the exact remapped mass change, so water mass and moist
+enthalpy are conserved to rounding.
+
+With ``native`` the per-bin work of a species (growth, remap, vapor
+limiter, blend) is one pass per row of the compiled
+:func:`repro.fsbm.ckernels.cond_grow`; the numpy reference (vectorized
+scatter, BLAS mass contents) runs otherwise and is what the compiled
+path is tested against.
 """
 
 from __future__ import annotations
@@ -166,6 +172,56 @@ def _grow_species(
     return n_new, dmass, evap
 
 
+def _native_layout(dists: dict[Species, np.ndarray], species) -> bool:
+    """Whether the compiled kernel can update these arrays in place."""
+    return all(
+        dists[sp].dtype == np.float64
+        and dists[sp].flags.c_contiguous
+        and dists[sp].shape[1] <= ckernels.MAX_NKR
+        for sp in species
+    )
+
+
+def _grow_rows_native(
+    lib,
+    n: np.ndarray,
+    sp: Species,
+    rows: np.ndarray,
+    over: str,
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+    rho_air: np.ndarray,
+    ccn: np.ndarray,
+    g_coeff: np.ndarray,
+    dt: float,
+    grid: BinGrid,
+) -> None:
+    """One species' growth step on ``rows`` through the compiled kernel.
+
+    The kernel does the per-bin work of :func:`_grow_species` and the
+    vapor limiter in one pass per row, updating ``n`` in place; the
+    saturation ratio and the vapor/temperature/CCN updates stay here.
+    ``g_coeff`` is already taken at ``rows``.
+    """
+    t_s = temperature[rows]
+    qv_s = qv[rows]
+    rho_s = rho_air[rows]
+    qs = saturation_mixing_ratio(t_s, pressure_mb[rows], over)
+    # The reference's scalar prefix of dm, in its operation order.
+    c0 = 4.0 * np.pi * grid.density * _HABIT_FACTOR.get(sp, 1.0)
+    dmass, ccn_add = ckernels.cond_grow(
+        lib, n, rows, qv_s, qs, rho_s, g_coeff, grid.masses, grid.radii,
+        c0, dt, grid.x_min,
+    )
+    dq = dmass / rho_s
+    qv[rows] = qv_s - dq
+    process = "condensation" if sp is Species.LIQUID else "deposition"
+    temperature[rows] = t_s + latent_heating(dq, process)
+    if sp is Species.LIQUID:
+        ccn[rows] = ccn[rows] + ccn_add
+
+
 def _condensation_core_members(
     dists: dict[Species, np.ndarray],
     species: tuple[Species, ...],
@@ -179,20 +235,29 @@ def _condensation_core_members(
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
     """Growth driver for onecond1/onecond2 (updates in place).
 
     Member ``m``'s fields and stats are bit-identical to a call on its
     rows alone; the solo routines are the one-segment case. The call
-    arrays are per-member gathers concatenated member-major;
-    ``segments[m]`` is member ``m``'s ``(start, stop)`` row range (empty
-    ranges allowed). Elementwise thermodynamics and the per-point
-    KO-remap scatter are row-local, so they run once over the
-    concatenation and produce each member's rows bit-for-bit. The
-    ``n @ masses`` contractions are the exception — BLAS matvec results
-    depend on the call's row count — so those are issued one BLAS call
-    per member segment (:func:`_segmented_rowdot`), matching each
-    member's own contraction exactly.
+    rows are per-member gathers concatenated member-major — all rows of
+    the arrays, or the subset ``rows`` (sorted indices into them) when
+    given; ``segments[m]`` is member ``m``'s ``(start, stop)`` range of
+    call rows (empty ranges allowed).
+
+    With ``native`` (and the compiled kernels loaded) each species is
+    one :func:`repro.fsbm.ckernels.cond_grow` call over the selected
+    rows, updating the arrays in place through the row index; it is
+    row-local, so members never interact. Otherwise the numpy
+    reference runs on a gathered copy of ``rows``: elementwise
+    thermodynamics and the per-point KO-remap scatter are row-local,
+    so they run once over the concatenation and produce each member's
+    rows bit-for-bit. The ``n @ masses`` contractions are the
+    exception — BLAS matvec results depend on the call's row count —
+    so those are issued one BLAS call per member segment
+    (:func:`_segmented_rowdot`), matching each member's own contraction
+    exactly.
 
     The one member-sensitive part is the per-species skip logic: a
     species is skipped for a member when the member's conservative
@@ -205,11 +270,34 @@ def _condensation_core_members(
     ``bin_updates`` accumulate only for those members.
     """
     stats = [CondWorkStats(points=e - s) for (s, e) in segments]
-    npts = temperature.shape[0]
+    npts = temperature.shape[0] if rows is None else rows.shape[0]
     if npts == 0:
         return stats
+    lib = ckernels.load_kernels() if native else None
+    if lib is None or not _native_layout(dists, species):
+        if rows is not None:
+            # numpy reference on a gathered copy of the call rows.
+            sub = {sp: dists[sp][rows] for sp in species}
+            t_s, p_s = temperature[rows], pressure_mb[rows]
+            qv_s, rho_s, ccn_s = qv[rows], rho_air[rows], ccn[rows]
+            stats = _condensation_core_members(
+                sub, species, over, t_s, p_s, qv_s, rho_s, ccn_s, dt,
+                segments, species_present=species_present, native=False,
+            )
+            for sp in species:
+                dists[sp][rows] = sub[sp]
+            temperature[rows], qv[rows], ccn[rows] = t_s, qv_s, ccn_s
+            return stats
+        lib = None
     grids = species_bins()
-    g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
+    if rows is None:
+        g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
+        if lib is not None:
+            rows = np.arange(npts)
+    else:
+        g_coeff = condensational_growth_coefficient(
+            temperature[rows], pressure_mb[rows]
+        )
 
     for sp in species:
         n = dists[sp]
@@ -225,12 +313,27 @@ def _condensation_core_members(
         if not flagged:
             continue
         rowsum_hot = n.sum(axis=1) > N_EPS
+        if lib is not None:
+            rowsum_hot = rowsum_hot[rows]
         passing = [
             m for m in flagged if rowsum_hot[segments[m][0] : segments[m][1]].any()
         ]
         if not passing:
             continue
         seg_pass = [segments[m] for m in passing]
+        for m in passing:
+            s, e = segments[m]
+            stats[m].bin_updates += float((e - s) * nkr)
+        if lib is not None:
+            if len(seg_pass) == 1 and seg_pass[0] == (0, npts):
+                pos = slice(None)
+            else:
+                pos = np.concatenate([np.arange(s, e) for s, e in seg_pass])
+            _grow_rows_native(
+                lib, n, sp, rows[pos], over[sp], temperature, pressure_mb,
+                qv, rho_air, ccn, g_coeff[pos], dt, grids[sp],
+            )
+            continue
         # Segment boundaries within the subset rows (for the per-member
         # BLAS splits below).
         sub_segments, off = [], 0
@@ -282,9 +385,6 @@ def _condensation_core_members(
                 ccn[idx] = ccn_s
             # Non-liquid species add an exact scalar 0.0 to ccn in the
             # reference — a bitwise no-op on the non-negative reservoir.
-        for m in passing:
-            s, e = segments[m]
-            stats[m].bin_updates += float((e - s) * nkr)
     return stats
 
 
@@ -339,8 +439,13 @@ def onecond1_members(
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
-    """Member-batched :func:`onecond1` (liquid-only, warm points)."""
+    """Member-batched :func:`onecond1` (liquid-only, warm points).
+
+    ``rows`` restricts the call to those rows of the arrays (see
+    :func:`_condensation_core_members`).
+    """
     return _condensation_core_members(
         dists,
         (Species.LIQUID,),
@@ -354,6 +459,7 @@ def onecond1_members(
         segments,
         species_present=species_present,
         native=native,
+        rows=rows,
     )
 
 
@@ -368,11 +474,13 @@ def onecond2_members(
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
-    """Member-batched :func:`onecond2` (mixed-phase points)."""
+    """Member-batched :func:`onecond2` (mixed-phase points); ``rows`` as
+    in :func:`onecond1_members`."""
     species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
     over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
     return _condensation_core_members(
         dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
-        segments, species_present=species_present, native=native,
+        segments, species_present=species_present, native=native, rows=rows,
     )

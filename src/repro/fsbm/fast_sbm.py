@@ -136,8 +136,9 @@ class FastSBM:
         #: on the host in fp64 and record the per-step agreement.
         self.autocompare = autocompare
         self.autocompare_reports: list = []
-        #: Route sedimentation/condensation through the compiled kernels
-        #: of :mod:`repro.fsbm.ckernels` (numpy fallback is automatic).
+        #: Route sedimentation, condensation and the collision passes
+        #: through the compiled kernels of :mod:`repro.fsbm.ckernels`
+        #: (numpy fallback is automatic).
         self.use_native_physics = use_native_physics
         self.temp_arrays: TempArrays | None = None
         if stage.uses_gpu and engine is None:
@@ -413,6 +414,7 @@ class FastSBM:
                 occupied=occupied,
                 on_demand=self.stage.on_demand_kernels,
                 selection=selection,
+                native=self.use_native_physics,
             )
             self._charge_cpu(
                 work.flops, work.bytes_moved, iterations=int(work.pair_entries)
@@ -468,6 +470,7 @@ class FastSBM:
                     on_demand=True,
                     dtype=np.float64,
                     selection=selection,
+                    native=self.use_native_physics,
                 )
             coal_bott_step(
                 c_dists,
@@ -480,6 +483,7 @@ class FastSBM:
                 on_demand=True,
                 dtype=device_dtype,
                 selection=selection,
+                native=self.use_native_physics,
             )
             if shadow is not None:
                 from repro.core.autocompare import autocompare_region
@@ -629,11 +633,12 @@ def _condensation_members(
 ) -> list[CondWorkStats]:
     """Warm/mixed-phase routing over the member concatenation.
 
-    The warm and cold subsets are gathered over all members at once
-    (member-major order is preserved by ``flatnonzero``), and the
-    member-batched onecond cores handle the per-member gates and BLAS
-    splits. ``sp_present=None`` treats every species as possibly
-    present.
+    The warm and cold subsets are selected over all members at once
+    (member-major order is preserved by ``flatnonzero``) and handed to
+    the member-batched onecond cores as row indices; the cores handle
+    the per-member gates and BLAS splits, and update the gathered
+    arrays in place. ``sp_present=None`` treats every species as
+    possibly present.
     """
     nm = len(segments)
     totals = [CondWorkStats() for _ in range(nm)]
@@ -646,24 +651,14 @@ def _condensation_members(
         los = np.searchsorted(idx, starts)
         his = np.searchsorted(idx, stops)
         sub_segments = [(int(lo), int(hi)) for lo, hi in zip(los, his)]
-        sub = {sp: d[idx] for sp, d in g_dists.items()}
-        st, sp_, sq, sr, sc = (
-            g_t[idx],
-            g_p[idx],
-            g_qv[idx],
-            g_rho[idx],
-            g_ccn[idx],
-        )
         part = routine(
-            sub, st, sp_, sq, sr, sc, sbms[0].dt, sub_segments,
+            g_dists, g_t, g_p, g_qv, g_rho, g_ccn, sbms[0].dt, sub_segments,
             species_present=sp_present,
             native=sbms[0].use_native_physics,
+            rows=idx,
         )
         for m in range(nm):
             totals[m].merge(part[m])
-        for sp in g_dists:
-            g_dists[sp][idx] = sub[sp]
-        g_t[idx], g_qv[idx], g_ccn[idx] = st, sq, sc
     return totals
 
 
@@ -826,6 +821,7 @@ def step_members(
                     coal_segments, occupied=occupied,
                     on_demand=lead.stage.on_demand_kernels,
                     selection=selection,
+                    native=lead.use_native_physics,
                 )
                 for sp in g_dists:
                     g_dists[sp][cidx] = c_dists[sp]

@@ -379,6 +379,12 @@ _module = cgen.build_module(
 #: The generated translation unit (kept for introspection/diagnostics).
 C_SOURCE = _module.source
 
+#: Set once this process has entered the stencil's OpenMP parallel
+#: region. libgomp's thread pool does not survive ``fork``: a child
+#: forked afterwards hangs in its own first parallel region, so
+#: :class:`repro.wrf.procpool.ProcRankPool` spawns its workers instead.
+parallel_region_started = False
+
 
 _path_traced = False
 
@@ -419,6 +425,8 @@ def advect_stage(
     do_clip: bool,
 ) -> None:
     """One fused stage ``out = base + f * tend(s)`` on the superblock."""
+    global parallel_region_started
+    parallel_region_started = True
     ni, nk, nj, ns = s.shape
     lib.advect_stage(
         s, base, out,
@@ -446,6 +454,8 @@ def advect_stage_members(
     slice of ``out`` equals a solo :func:`advect_stage` call bit for
     bit.
     """
+    global parallel_region_started
+    parallel_region_started = True
     nm, ni, nk, nj, ns = s.shape
     lib.advect_stage_members(
         s, base, out,

@@ -11,8 +11,10 @@ past two ranks. This module promotes ranks to real OS processes:
   per rank, registered with the ``"wrf.shared_superblocks"``
   :class:`~repro.core.cache.CountingCache` so its footprint is
   observable like every other pinned buffer;
-* each rank is a persistent worker process (forked before any
-  heavyweight driver state exists) that builds its own fields, FSBM
+* each rank is a persistent worker process (started before any
+  heavyweight driver state exists — forked, or spawned once the
+  process has run an OpenMP parallel region, see :func:`_start_method`)
+  that builds its own fields, FSBM
   driver, and authoritative :class:`~repro.core.clock.SimClock`, binds
   its resident fields directly into its shared segment, and then steps
   in lockstep with its peers;
@@ -99,6 +101,22 @@ def procpool_disabled() -> str | None:
     if os.environ.get("REPRO_DISABLE_PROCPOOL", ""):
         return "REPRO_DISABLE_PROCPOOL is set"
     return None
+
+
+def _start_method() -> str:
+    """How worker processes start: ``REPRO_PROCPOOL_START``, else derived.
+
+    ``fork`` is the cheap default — workers inherit the loaded kernels
+    and warm tables. Once this process has run the stencil's OpenMP
+    parallel region, a forked child inherits libgomp's state without
+    its threads and hangs in its own first parallel region, so the
+    pool then uses ``spawn`` (workers re-import and load the kernels
+    from the on-disk build cache).
+    """
+    start = os.environ.get("REPRO_PROCPOOL_START", "")
+    if start:
+        return start
+    return "spawn" if cstencil.parallel_region_started else "fork"
 
 
 def _pool_timeout() -> float:
@@ -421,10 +439,11 @@ class ProcRankPool:
     """Persistent worker processes, one per rank, stepped in lockstep.
 
     Created by :class:`~repro.wrf.model.WrfModel` when
-    ``namelist.use_process_ranks`` holds (CPU stages only). Fork happens
-    at construction — before the driver builds its own heavyweight
-    state — so workers start lean and inherit the preloaded compiled
-    kernels and lookup tables.
+    ``namelist.use_process_ranks`` holds (CPU stages only). Workers
+    start at construction — before the driver builds its own
+    heavyweight state — so they start lean; forked workers inherit the
+    preloaded compiled kernels and lookup tables, spawned ones load
+    them from the build cache the preload just filled.
     """
 
     def __init__(
@@ -444,8 +463,7 @@ class ProcRankPool:
         self.blocks = SharedSuperblocks(
             decomposition, nscalars, members=namelist.members
         )
-        start = os.environ.get("REPRO_PROCPOOL_START", "") or "fork"
-        ctx = get_context(start)
+        ctx = get_context(_start_method())
         self._barrier = ctx.Barrier(self.num_ranks)
         try:
             for rank in range(self.num_ranks):

@@ -6,6 +6,7 @@ from repro.codee import loopir
 from repro.codee.loopir import (
     ArrayParam,
     Bin,
+    Call,
     Const,
     Kernel,
     Load,
@@ -18,6 +19,17 @@ from repro.codee.loopir import (
     expr_syms,
     subst,
     walk_ir,
+)
+
+
+#: The compiled row-local FSBM point kernels (condensation growth and
+#: the collision limiter/update passes in both precisions).
+FSBM_POINT_KERNELS = (
+    "cond_grow",
+    "coal_limit_f64",
+    "coal_update_f64",
+    "coal_limit_f32",
+    "coal_update_f32",
 )
 
 
@@ -52,6 +64,55 @@ class TestExpressions:
         e = Load("a", (Sym("i") + 1,))
         out = subst(e, {"i": Sym("j")})
         assert out == Load("a", (Sym("j") + 1,))
+
+    def test_intrinsic_calls_are_pure_expressions(self):
+        e = Call("ilogb", (Load("m", (Sym("i"),)) / Sym("x0"),))
+        assert expr_syms(e) == {"i", "x0"}
+        assert [ld.array for ld in expr_loads(e)] == ["m"]
+        assert subst(e, {"i": Sym("j")}) == Call(
+            "ilogb", (Load("m", (Sym("j"),)) / Sym("x0"),)
+        )
+        with pytest.raises(ValueError, match="not a pure IR intrinsic"):
+            Call("printf", (Sym("x"),))
+
+    def test_float_literals(self):
+        from repro.codee.cgen import emit_kernel
+
+        k = Kernel(
+            name="halve",
+            params=(
+                ArrayParam("x", strides=(Const(1),), ctype="float", intent="inout"),
+                ScalarParam("n", "long"),
+            ),
+            body=[
+                Loop(
+                    "i",
+                    Const(0),
+                    Sym("n"),
+                    [Store("x", (Sym("i"),), Load("x", (Sym("i"),)) * Const(0.5, "float"))],
+                )
+            ],
+        )
+        assert "(x[i] * 0.5f)" in emit_kernel(k)
+
+    def test_math_header_only_with_intrinsics(self):
+        from repro.codee.cgen import emit_module
+
+        def kernel(value):
+            return Kernel(
+                name="k",
+                params=(
+                    ArrayParam("x", strides=(Const(1),), intent="inout"),
+                    ScalarParam("n", "long"),
+                ),
+                body=[Loop("i", Const(0), Sym("n"), [Store("x", (Sym("i"),), value)])],
+            )
+
+        plain = emit_module([kernel(Load("x", (Sym("i"),)))])
+        assert "#include <math.h>" not in plain
+        called = emit_module([kernel(Call("fabs", (Load("x", (Sym("i"),)),)))])
+        assert "#include <math.h>" in called
+        assert "fabs(x[i])" in called
 
 
 class TestLoops:
@@ -115,6 +176,7 @@ class TestRegistry:
     def test_production_kernels_registered(self):
         names = set(loopir.registered_kernels())
         assert {"advect_stage", "sed_sweep", "remap_scatter"} <= names
+        assert set(FSBM_POINT_KERNELS) <= names
         assert "broken_offload_ir" in names
 
     def test_fixture_excluded_from_gate(self):
@@ -131,3 +193,31 @@ class TestRegistry:
         spec = loopir.registered_kernels()["broken_offload_ir"]
         assert spec.plan() is None
         assert spec.final_kernel().loops()[0].parallel
+
+
+class TestFsbmPointKernels:
+    """The compiled FSBM point kernels pass the IR gate and stay serial."""
+
+    @pytest.mark.parametrize("name", FSBM_POINT_KERNELS)
+    def test_verified_clean_and_serial(self, name):
+        from repro.codee import irverify
+
+        spec = loopir.gate_kernels()[name]
+        kernel = spec.final_kernel()
+        assert not [
+            v for v in irverify.verify_kernel(kernel) if v.severity == "error"
+        ]
+        assert not any(
+            lp.parallel or lp.simd
+            for lp in loopir.walk_ir_stmts(kernel.body)
+            if isinstance(lp, Loop)
+        )
+
+    def test_codee_transform_emits_them_serial(self, capsys):
+        from repro.codee.cli import main
+
+        assert main(["transform", "--emit", *FSBM_POINT_KERNELS]) == 0
+        out = capsys.readouterr().out
+        for name in FSBM_POINT_KERNELS:
+            assert f"void {name}(" in out
+        assert "#pragma omp" not in out

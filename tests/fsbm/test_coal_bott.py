@@ -212,23 +212,35 @@ def _max_rel_dev(got, ref):
     return worst
 
 
+def sparse_and_dense(
+    dists, t, p, dt=5.0, occupied="auto", dtype=np.float64, native=False
+):
+    """One collision step through the sparse and the dense engine.
+
+    ``native`` selects the sparse engine's elementwise path: the numpy
+    engine (here) or the compiled passes (``test_native_kernels``).
+    """
+    from repro.fsbm.collision_kernels import get_tables
+
+    occ = _occupied(dists) if occupied == "auto" else occupied
+    dense = {sp: d.copy() for sp, d in dists.items()}
+    sparse = {sp: d.copy() for sp, d in dists.items()}
+    kw = dict(occupied=occ, on_demand=True, dtype=dtype)
+    coal_bott_step(
+        dense, t, p, dt, get_tables(), INTERACTIONS, use_sparse=False, **kw
+    )
+    coal_bott_step(
+        sparse, t, p, dt, get_tables(), INTERACTIONS, use_sparse=True,
+        native=native, **kw,
+    )
+    return sparse, dense
+
+
 class TestSparseEngine:
     """The factored sparse contraction against the dense reference."""
 
-    def _both(self, dists, t, p, dt=5.0, occupied="auto", dtype=np.float64):
-        from repro.fsbm.collision_kernels import get_tables
-
-        occ = _occupied(dists) if occupied == "auto" else occupied
-        dense = {sp: d.copy() for sp, d in dists.items()}
-        sparse = {sp: d.copy() for sp, d in dists.items()}
-        kw = dict(occupied=occ, on_demand=True, dtype=dtype)
-        coal_bott_step(
-            dense, t, p, dt, get_tables(), INTERACTIONS, use_sparse=False, **kw
-        )
-        coal_bott_step(
-            sparse, t, p, dt, get_tables(), INTERACTIONS, use_sparse=True, **kw
-        )
-        return sparse, dense
+    def _both(self, dists, t, p, **kw):
+        return sparse_and_dense(dists, t, p, native=False, **kw)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)
@@ -265,6 +277,7 @@ class TestSparseEngine:
         coal_bott_step(
             dists, t, p, 5.0, get_tables(), INTERACTIONS,
             occupied=_occupied(dists), on_demand=True, use_sparse=True,
+            native=False,
         )
         assert total_mass(dists) == pytest.approx(before, rel=1e-10)
 

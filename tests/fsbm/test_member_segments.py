@@ -4,7 +4,8 @@
 members' points in one call, with ``segments[m]`` giving member ``m``'s
 row range. Each member's rows and work stats must equal what a call on
 that member's rows alone produces, bit for bit — including an empty
-member and a member whose ice species are absent.
+member and a member whose ice species are absent — on the numpy path
+and on the compiled one (``native``), whose kernels are row-local.
 """
 
 import numpy as np
@@ -49,9 +50,7 @@ def _rows(dists, s, e):
     return {sp: d[s:e].copy() for sp, d in dists.items()}
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("dt", [5.0, 60.0])
-def test_coal_members_equal_separate_calls(dtype, dt):
+def _check_coal(dtype, dt, native):
     dists, temp, pres, _, _, _, segments = _members()
     tables = get_tables()
     solo = []
@@ -60,6 +59,7 @@ def test_coal_members_equal_separate_calls(dtype, dt):
         st = coal_bott_step(
             d, temp[s:e], pres[s:e], dt, tables, INTERACTIONS,
             occupied=_occupied_rows(d), on_demand=True, dtype=dtype,
+            native=native,
         )
         solo.append((d, st))
 
@@ -67,6 +67,7 @@ def test_coal_members_equal_separate_calls(dtype, dt):
     stats = coal_bott_step_members(
         batched, temp, pres, dt, tables, INTERACTIONS, segments,
         occupied=_occupied_rows(batched), on_demand=True, dtype=dtype,
+        native=native,
     )
     assert any(st.pair_entries for _, st in solo)
     for (s, e), (d, st), got in zip(segments, solo, stats):
@@ -75,8 +76,7 @@ def test_coal_members_equal_separate_calls(dtype, dt):
             assert np.array_equal(batched[sp][s:e], d[sp]), sp
 
 
-@pytest.mark.parametrize("with_flags", [True, False])
-def test_onecond2_members_equal_separate_calls(with_flags):
+def _check_onecond2(with_flags, native):
     dists, temp, pres, qv, rho, ccn, segments = _members()
     present = [
         {sp: bool(dists[sp][s:e].any()) for sp in Species} for s, e in segments
@@ -89,6 +89,7 @@ def test_onecond2_members_equal_separate_calls(with_flags):
         st = onecond2(
             d, t, pres[s:e], q, rho[s:e], c, 5.0,
             species_present=present[m] if with_flags else None,
+            native=native,
         )
         solo.append((d, t, q, c, st))
 
@@ -97,6 +98,7 @@ def test_onecond2_members_equal_separate_calls(with_flags):
     stats = onecond2_members(
         batched, t, pres, q, rho, c, 5.0, segments,
         species_present=present if with_flags else None,
+        native=native,
     )
     assert solo[2][4].bin_updates == SIZES[2] * NKR  # liquid only
     for (s, e), (d, ts, qs, cs, st), got in zip(segments, solo, stats):
@@ -106,3 +108,34 @@ def test_onecond2_members_equal_separate_calls(with_flags):
         assert np.array_equal(t[s:e], ts)
         assert np.array_equal(q[s:e], qs)
         assert np.array_equal(c[s:e], cs)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dt", [5.0, 60.0])
+def test_coal_members_equal_separate_calls(dtype, dt):
+    _check_coal(dtype, dt, native=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dt", [5.0, 60.0])
+def test_coal_members_equal_separate_calls_numpy(dtype, dt):
+    _check_coal(dtype, dt, native=False)
+
+
+@pytest.mark.parametrize("with_flags", [True, False])
+def test_onecond2_members_equal_separate_calls(with_flags):
+    _check_onecond2(with_flags, native=True)
+
+
+@pytest.mark.parametrize("with_flags", [True, False])
+def test_onecond2_members_equal_separate_calls_numpy(with_flags):
+    _check_onecond2(with_flags, native=False)
+
+
+def test_compiled_row_blocks_start_at_each_member(monkeypatch):
+    """Compiled collision blocks count rows from each member's start, so
+    blocks smaller than a member still give its solo result exactly."""
+    from repro.fsbm import coal_bott
+
+    monkeypatch.setattr(coal_bott, "NATIVE_BLOCK_ROWS", 4)
+    _check_coal(np.float64, 60.0, native=True)

@@ -158,8 +158,9 @@ class TestSuperblockFields:
 
     def test_native_physics_off_matches_default(self):
         """The compiled physics kernels must not change the model's
-        answer: distributions are bit-identical, so gathered moments
-        agree to reduction-order level."""
+        answer: sedimentation is bit-identical and the condensation and
+        collision passes differ from numpy only in summation order, so
+        gathered moments agree to reduction-order level."""
         nl_on = conus12km_namelist(scale=0.05, num_ranks=2, seed=29)
         nl_off = conus12km_namelist(
             scale=0.05, num_ranks=2, seed=29, use_native_physics=False

@@ -124,3 +124,35 @@ class TestKillSwitch:
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_DISABLE_PROCPOOL", raising=False)
         assert procpool.procpool_disabled() is None
+
+
+class TestStartAfterOpenMP:
+    """Workers forked after the stencil's OpenMP parallel region ran in
+    this process would hang in their own first parallel region; the
+    pool spawns them instead once that region has run."""
+
+    def test_process_ranks_step_after_an_in_process_step(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROCPOOL_TIMEOUT", "15")
+        monkeypatch.delenv("REPRO_PROCPOOL_START", raising=False)
+        serial = WrfModel(conus12km_namelist(scale=0.05, num_ranks=1))
+        try:
+            serial.step()
+        finally:
+            serial.close()
+        model = WrfModel(_namelist())
+        try:
+            assert model._pool is not None
+            model.step()
+        finally:
+            model.close()
+
+    def test_start_method_follows_the_parallel_region(self, monkeypatch):
+        from repro.wrf import cstencil
+
+        monkeypatch.delenv("REPRO_PROCPOOL_START", raising=False)
+        monkeypatch.setattr(cstencil, "parallel_region_started", False)
+        assert procpool._start_method() == "fork"
+        monkeypatch.setattr(cstencil, "parallel_region_started", True)
+        assert procpool._start_method() == "spawn"
+        monkeypatch.setenv("REPRO_PROCPOOL_START", "fork")
+        assert procpool._start_method() == "fork"
