@@ -166,9 +166,11 @@ class Select(_ExprOps):
 
 
 #: C intrinsics a :class:`Call` may name. Each is pure (no side
-#: effects, no global state) and exact: its result does not depend on
-#: the libm in play, which keeps compiled kernels reproducible.
-PURE_INTRINSICS = frozenset({"ilogb", "fabs"})
+#: effects, no global state), so the analyses treat a call like an
+#: operator. ``ilogb``, ``fabs`` and ``sqrt`` are exact (correctly
+#: rounded by IEEE 754, whatever the libm); ``exp`` is not, so a kernel
+#: calling it agrees with numpy's ``exp`` to rounding, not bitwise.
+PURE_INTRINSICS = frozenset({"ilogb", "fabs", "sqrt", "exp"})
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ Kernels and their equivalence to the numpy references (asserted by
 * ``cond_grow`` — one species' condensation step over a list of rows,
   updated in place through the row index: growth ``dm`` in the
   reference's operation order, evaporation below ``0.5 * x[0]``, the
-  two-bin split, old/new mass contents, the vapor limiter and the
-  blend, one pass per row. The mass contents are sequential sums (not
+  two-bin split, old/new mass contents, the vapor limiter (with a
+  per-row bind flag) and the blend, one pass per row. The mass contents are sequential sums (not
   BLAS dots) and the ladder index is exact (``ilogb`` plus a one-step
   check against the ladder, no libm ``log2``), so results agree with
   numpy to rounding rather than bitwise.
@@ -56,11 +56,23 @@ Kernels and their equivalence to the numpy references (asserted by
   forms the pre-limit losses, the bind flag and the limited spectra;
   the update pass the final losses, the five gain families with their
   shifts and top-bin fold, and the clamped write-back into collector,
-  collected and product rows. Agreement with the dense engine stays
+  collected and product rows (whose sums the double pass returns for
+  the selection refresh). Agreement with the dense engine stays
   within the sparse engine's own 1e-12 (2e-4 in float32).
+* ``nucleate_rows`` / ``freeze_melt_rows`` — ``jernucl01_ks`` and
+  ``freezing_melting_step`` per row, in the references' operation
+  order; libm ``exp`` makes them agree with numpy to rounding. The
+  freezing kernel reports per-row gate flags so the per-call work
+  count is the reference's.
+* ``census_rows`` — per row and species the bin sum (numpy's pairwise
+  order: **bit identical** to ``sum(axis=1)``), the occupied-bin bound
+  and a nonzero flag; the driver's gates come from it.
 
 The point kernels are row-local, so a member's rows come out the same
-whether it runs alone or batched with others.
+whether it runs alone or batched with others. They address the bins
+where they live: row ``r`` of a species is ``base + r * ld`` for the
+species' base pointer and a common row stride ``ld >= nkr``
+(:func:`row_stride`, :mod:`repro.fsbm.rows`).
 
 ``REPRO_DISABLE_CPHYS=1`` (this module) or ``REPRO_DISABLE_CJIT=1``
 (all compiled kernels) forces the numpy fallback.
@@ -93,7 +105,17 @@ from repro.codee.loopir import (
     Sym,
     Un,
 )
+from repro.constants import C_P, EPS, L_F, L_S, L_V, T_0
 from repro.core import cjit
+from repro.fsbm.freezing import BIGG_A, BIGG_B, T_HOMOGENEOUS
+from repro.fsbm.nucleation import (
+    FLETCHER_A,
+    FLETCHER_B,
+    ICE_NUCLEATION_CAP,
+    S_FULL_ACTIVATION,
+    TWOMEY_K,
+)
+from repro.fsbm.species import Species
 from repro.obs import tracer
 
 #: Environment switch forcing the numpy physics fallback.
@@ -480,7 +502,8 @@ def build_cond_grow_ir() -> Kernel:
     """One species' diffusional growth, remap and vapor limiter as loop IR.
 
     For each selected row ``r = idx[p]`` of the species distribution
-    ``n`` (``(rows, nkr)``, updated in place) one pass does what
+    ``n`` (``(rows, nkr)`` with row stride ``ld >= nkr``, updated in
+    place) one pass does what
     ``_grow_species`` plus the limiter of
     ``_condensation_core_members`` do with full-size numpy
     temporaries: the growth increment ``dm`` (in the reference's
@@ -490,8 +513,9 @@ def build_cond_grow_ir() -> Kernel:
     ``remap_scatter``), old and new mass content, the vapor limiter
     ``scale`` and the blend. Per selected row it returns the limited
     condensate mass change ``dmass[p]`` and the CCN credit
-    ``ccn_add[p] = scale * evaporated``; the vapor, temperature and CCN
-    updates stay with the caller.
+    ``ccn_add[p] = scale * evaporated``, and ``bound[p] = 1`` when the
+    vapor limiter binds (``|dq| > room``, the numpy engine's test); the
+    vapor, temperature and CCN updates stay with the caller.
 
     The ladder index is exact: ``ilogb`` of ``m / x_min`` (integer
     exponent extraction) corrected by one step each way against the
@@ -625,6 +649,7 @@ def build_cond_grow_ir() -> Kernel:
         blend,
         Store("dmass_out", (p,), Sym("dmass")),
         Store("ccn_add", (p,), Sym("scale") * Sym("evap")),
+        Store("bound", (p,), Select(adq.gt(room), Const(1), Const(0))),
     ]
     vec = lambda name, intent="in": ArrayParam(
         name, strides=(Const(1),), intent=intent
@@ -632,7 +657,7 @@ def build_cond_grow_ir() -> Kernel:
     return Kernel(
         name="cond_grow",
         params=(
-            ArrayParam("n", strides=(nkr, Const(1)), intent="inout"),
+            ArrayParam("n", strides=(Sym("ld"), Const(1)), intent="inout"),
             ArrayParam("idx", strides=(Const(1),), ctype="long"),
             vec("qv"),
             vec("qs"),
@@ -642,8 +667,12 @@ def build_cond_grow_ir() -> Kernel:
             vec("radii"),
             vec("dmass_out", "out"),
             vec("ccn_add", "out"),
+            ArrayParam(
+                "bound", strides=(Const(1),), ctype="unsigned char", intent="out"
+            ),
             ScalarParam("nsel", "long"),
             ScalarParam("nkr", "long"),
+            ScalarParam("ld", "long"),
             ScalarParam("c0"),
             ScalarParam("dt"),
             ScalarParam("x_min"),
@@ -651,8 +680,9 @@ def build_cond_grow_ir() -> Kernel:
         body=[Loop("p", Const(0), Sym("nsel"), per_row)],
         doc=(
             "Condensation growth, KO remap and vapor limiter for one "
-            "species over the rows idx[p], in place; returns the limited "
-            "mass change and CCN credit per row."
+            "species over the rows idx[p] (row stride ld), in place; "
+            "returns the limited mass change, CCN credit and limiter flag "
+            "per row."
         ),
     )
 
@@ -675,12 +705,14 @@ def build_coal_limit_ir(real: str = "double") -> Kernel:
     Given the pre-limit operator products — ``pkr = b @ [K500^T|Kdel^T]``
     and ``pkc = a @ [K500|Kdel]`` — it forms, per row and bin, the
     sparse engine's pre-limit losses in the reference operation order
-    (``((half * a) * (P500 + w * Pdel)) * dt``), raises ``bind[0]`` when
-    any loss exceeds what its bin holds, and writes the limited spectra
+    (``((half * a) * (P500 + w * Pdel)) * dt``), counts in ``bind[0]``
+    the rows where some loss exceeds what its bin holds (the limiter
+    binds there), and writes the limited spectra
     ``ap = a * min(1, a / max(loss, 1e-30))`` (and ``bp`` likewise).
     Self-collection uses the summed row+column loss and writes ``ap``
     only (``bp`` is ``ap``). The caller uses ``ap``/``bp`` only when
-    ``bind[0]`` is set, which is exactly when the numpy engine limits.
+    ``bind[0]`` is nonzero, which is exactly when the numpy engine
+    limits.
 
     ``real`` selects the arithmetic type; the float variant uses
     ``float`` temporaries and ``f``-suffixed literals, so nothing is
@@ -693,7 +725,7 @@ def build_coal_limit_ir(real: str = "double") -> Kernel:
 
     def limited(target, idx, value, loss):
         return [
-            If(Un("!", loss.le(value)), [Assign("bnd", Const(1))]),
+            If(Un("!", loss.le(value)), [Assign("rb", Const(1))]),
             Store(
                 target,
                 idx,
@@ -772,14 +804,17 @@ def build_coal_limit_ir(real: str = "double") -> Kernel:
                 Sym("npts"),
                 [
                     Let("w", Load("ws", (p,)), ctype=real),
+                    Decl("rb", "long", Const(0)),
                     If(Sym("selfc"), [self_body], pair_body),
+                    Assign("bnd", Sym("bnd") + Sym("rb")),
                 ],
             ),
             Store("bind", (Const(0),), Sym("bnd")),
         ],
         doc=(
             f"Collision limiter pass ({real}): pre-limit losses from the "
-            "operator products, bind flag, limited spectra ap/bp."
+            "operator products, count of binding rows, limited spectra "
+            "ap/bp."
         ),
     )
 
@@ -794,7 +829,10 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
     ``d500``/``ddel``) with their one-bin shifts and the top-bin fold,
     scaled by ``hdt = half * dt``; then the clamped write-back into the
     collector (``dists[0]``), collected (``dists[1]``) and product
-    (``dists[2]``) rows. ``pmode`` says where the gain lands: 1 the
+    (``dists[2]``) rows, which share the row stride ``ld >= nkr`` (any
+    layout whose rows are ``ld`` elements apart: a compact ``(rows,
+    nkr)`` array or the bin columns of the resident superblock).
+    ``pmode`` says where the gain lands: 1 the
     collector, 2 the collected, 0 a third species. Each family is
     accumulated in the numpy engine's order, and the float64 rows are
     combined in double exactly as the numpy engine's mixed-precision
@@ -955,13 +993,36 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
             [If(Sym("pmode").eq(Const(2)), [add_gain(1)], [add_gain(2)])],
         ),
     ]
+    # The double pass also refreshes the selection sums of the three
+    # written rows while they are in cache (numpy's row-sum order, so
+    # bit-identical to it); the float pass leaves them to the caller and
+    # keeps its arithmetic float.
+    slot = Sym("slot")
+    row_sums = Loop(
+        "slot",
+        Const(0),
+        Const(3),
+        [
+            *_pairwise_sum(lambda b: Load("dists", (slot, r, b)), nkr),
+            Store("rsum", (slot, p), Sym("res")),
+        ],
+    )
     per_row = [
         Let("r", Load("idx", (p,)), ctype="long"),
         Let("w", Load("ws", (p,)), ctype=real),
         *gain,
         If(Sym("selfc"), self_update, pair_update),
+        *([row_sums] if real == "double" else []),
     ]
     mat = lambda name, ld: ArrayParam(name, strides=(ld, Const(1)), ctype=real)
+    row_sum_params = (
+        (
+            ArrayParam("rsum", strides=(Sym("npts"), Const(1)), intent="out"),
+            ScalarParam("nblk", "long"),
+        )
+        if real == "double"
+        else ()
+    )
     return Kernel(
         name=f"coal_update_{_suffix(real)}",
         params=(
@@ -979,12 +1040,15 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
             ArrayParam("dd", strides=(Const(1),), ctype=real),
             ArrayParam(
                 "dists",
-                strides=(nkr, Const(1)),
+                strides=(Sym("ld"), Const(1)),
                 intent="inout",
                 ptr_table=True,
             ),
+            *row_sum_params[:1],
             ScalarParam("npts", "long"),
             ScalarParam("nkr", "long"),
+            *row_sum_params[1:],
+            ScalarParam("ld", "long"),
             ScalarParam("na", "long"),
             ScalarParam("nb", "long"),
             ScalarParam("nd", "long"),
@@ -1005,7 +1069,392 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
         doc=(
             f"Collision update pass ({real}): final losses, the five gain "
             "families with shifts and top-bin fold, clamped write-back "
-            "into the collector/collected/product rows idx[p]."
+            "into the collector/collected/product rows idx[p], and their "
+            "refreshed row sums."
+        ),
+    )
+
+
+def _rows_param(name: str = "dists", intent: str = "inout") -> ArrayParam:
+    """A pointer table of species rows ``ld`` elements apart."""
+    return ArrayParam(
+        name, strides=(Sym("ld"), Const(1)), intent=intent, ptr_table=True
+    )
+
+
+def _vec(name: str, intent: str = "in", ctype: str = "double") -> ArrayParam:
+    return ArrayParam(name, strides=(Const(1),), ctype=ctype, intent=intent)
+
+
+def _qsat(prefix: str, t, p, a: float, b: float) -> tuple[list, Sym]:
+    """Statements computing ``thermo.saturation_mixing_ratio`` in its
+    operation order (Tetens/Magnus fit ``a``, ``b``); returns the
+    statements and the result symbol."""
+    tc, es0, es, qs = (Sym(f"{prefix}{n}") for n in ("tc", "es0", "es", "qs"))
+    half_p = Const(0.5) * p
+    return [
+        Let(tc.name, t - Const(T_0)),
+        Let(
+            es0.name,
+            Const(6.112) * Call("exp", ((Const(a) * tc) / (tc + Const(b)),)),
+        ),
+        Let(es.name, Select(es0.lt(half_p), es0, half_p)),
+        Let(qs.name, (Const(EPS) * es) / (p - es)),
+    ], qs
+
+
+def build_nucleate_ir() -> Kernel:
+    """``jernucl01_ks`` on rows ``idx[p]`` of the species pointer table.
+
+    ``dists`` holds the liquid, dendrite, column and plate rows (in
+    that order) ``ld`` elements apart; ``t``/``pres``/``qv``/``rho``/
+    ``ccn`` are per selected row. Each row does what the numpy
+    reference does to it, in its operation order: Twomey activation
+    capped by the vapor excess into liquid bin 0, the CCN/vapor/latent
+    updates, then the Fletcher ice nucleation split over the three
+    habits by the temperature weights, each habit's bin 0 and vapor/
+    latent update in turn. Where no ice nucleates the split is skipped
+    (the reference only adds zeros there, which changes at most the
+    sign of a zero). Rows are independent; ``exp`` is libm's, so
+    results agree with numpy to rounding.
+    """
+    p = Sym("p")
+    r = Sym("r")
+    t0, pp, q0, rh, cc = (Sym(n) for n in ("t0", "pp", "q0", "rh", "cc"))
+    wet, qsw = _qsat("w", t0, pp, 17.67, 243.5)
+    sw, nact, dq = Sym("sw"), Sym("nact"), Sym("dq")
+    q1, t1 = Sym("q1"), Sym("t1")
+    ice, qsi = _qsat("i", t1, pp, 21.8745584, 265.5)
+    si, scool, nice = Sym("si"), Sym("scool"), Sym("nice")
+    u, wden, wcol, wpla, tot0 = (
+        Sym(n) for n in ("u", "wden", "wcol", "wpla", "tot0")
+    )
+    assert TWOMEY_K == 0.5, "the activation power law is emitted as sqrt"
+    flt, cap = Sym("flt"), Const(ICE_NUCLEATION_CAP)
+    habits = []
+    for slot, weight in ((1, wden), (2, wcol), (3, wpla)):
+        n_sp, dqi = Sym(f"n{slot}"), Sym(f"dqi{slot}")
+        habits += [
+            Let(n_sp.name, (nice * weight) / Sym("tot")),
+            Store("dists", (Const(slot), r, Const(0)), n_sp, "+="),
+            Let(dqi.name, (n_sp * Sym("xi0")) / rh),
+            Assign("qm", Sym("qm") - dqi),
+            Assign("tm", Sym("tm") + Const(L_S / C_P) * dqi),
+        ]
+    per_row = [
+        Let("r", Load("idx", (p,)), ctype="long"),
+        Let("t0", Load("t", (p,))),
+        Let("pp", Load("pres", (p,))),
+        Let("q0", Load("qv", (p,))),
+        Let("rh", Load("rho", (p,))),
+        Let("cc", Load("ccn", (p,))),
+        # --- droplet activation
+        *wet,
+        Let("sw", q0 / qsw - Const(1.0)),
+        Let(
+            "fr",
+            Call(
+                "sqrt",
+                (_clip(sw / Const(S_FULL_ACTIVATION), Const(0.0), Const(1.0)),),
+            ),
+        ),
+        Let("na0", Select(sw.gt(Const(0.0)), cc * Sym("fr"), Const(0.0))),
+        Let("mbv", (_max0(q0 * rh) * Const(1.0e-3)) / Sym("x0")),
+        Let("nact", Select(Sym("na0").lt(Sym("mbv")), Sym("na0"), Sym("mbv"))),
+        Store("dists", (Const(0), r, Const(0)), nact, "+="),
+        Let("dq", (nact * Sym("x0")) / rh),
+        Let("q1", q0 - dq),
+        Let("t1", t0 + Const(L_V / C_P) * dq),
+        # --- ice nucleation
+        *ice,
+        Let("si", q1 / qsi - Const(1.0)),
+        Let("scool", _max0(Const(T_0) - t1)),
+        Decl("nice", "double", Const(0.0)),
+        If(
+            t1.lt(Const(T_0 - 5.0)).logical_and(si.gt(Const(0.0))),
+            [
+                Let(
+                    "flt",
+                    Const(FLETCHER_A) * Call("exp", (Const(FLETCHER_B) * scool,)),
+                ),
+                Assign("nice", Select(flt.lt(cap), flt, cap)),
+            ],
+        ),
+        Decl("qm", "double", q1),
+        Decl("tm", "double", t1),
+        # Without ice nucleation the habit split only adds zeros.
+        If(
+            nice.ne(Const(0.0)),
+            [
+                Let("u", (t1 - Const(T_0 - 15.0)) / Const(4.0)),
+                Let("wden", Call("exp", (Const(-0.5) * (u * u),))),
+                Let(
+                    "wcol",
+                    _clip(
+                        (Const(T_0 - 20.0) - t1) / Const(10.0),
+                        Const(0.0),
+                        Const(1.0),
+                    ),
+                ),
+                Let("wpla", _max0((Const(1.0) - wden) - wcol)),
+                Let("tot0", (wden + wcol) + wpla),
+                Let("tot", Select(tot0.gt(Const(1e-12)), tot0, Const(1e-12))),
+                *habits,
+            ],
+        ),
+        Store("t", (p,), Sym("tm")),
+        Store("qv", (p,), Sym("qm")),
+        Store("ccn", (p,), cc - nact),
+    ]
+    return Kernel(
+        name="nucleate_rows",
+        params=(
+            _rows_param(),
+            _vec("idx", ctype="long"),
+            _vec("t", "inout"),
+            _vec("pres"),
+            _vec("qv", "inout"),
+            _vec("rho"),
+            _vec("ccn", "inout"),
+            ScalarParam("n", "long"),
+            ScalarParam("ld", "long"),
+            ScalarParam("x0"),
+            ScalarParam("xi0"),
+        ),
+        body=[Loop("p", Const(0), Sym("n"), per_row)],
+        doc=(
+            "jernucl01_ks on rows idx[p]: droplet activation into liquid "
+            "bin 0, Fletcher ice nucleation split over the three habits, "
+            "with the vapor, CCN and latent-heat updates."
+        ),
+    )
+
+
+def build_freeze_melt_ir() -> Kernel:
+    """``freezing_melting_step`` on rows ``idx[p]`` of all species.
+
+    ``dists`` is the full species table in :class:`Species` order, rows
+    ``ld`` elements apart; ``masses`` the liquid bin masses. Per row, in
+    the reference's order: immersion/homogeneous freezing of the liquid
+    (bins below ``hail_bin`` to plates, the rest to hail) with its
+    latent heat, then — if the row is above freezing — melting of each
+    ice species in turn at its relaxation fraction (``mf_fast`` for the
+    habits and snow, ``mf_slow`` for graupel and hail, both taken from
+    numpy by the caller), each with its latent cooling.
+
+    ``flags[p]`` records what the numpy reference's cross-row gates
+    need: bit 0 when the row's freezing fraction is nonzero, bit ``s``
+    when species ``s`` melted a nonzero amount. A member's work count
+    is then the OR over its rows, exactly as ``frac.any()`` and
+    ``melted.any()`` decide it. Rows the gates would skip get only
+    zero increments there, so applying every row unconditionally
+    differs at most in the sign of a zero.
+    """
+    p, b, r = Sym("p"), Sym("b"), Sym("r")
+    nkr = Sym("nkr")
+    x = lambda i: Load("masses", (i,))
+    t0, rh = Sym("t0"), Sym("rh")
+
+    def dist(slot, bin_=b):
+        return Load("dists", (Const(slot), r, bin_))
+
+    freeze = [
+        Assign("fl", Const(1)),
+        Decl("dq", "double", Const(0.0)),
+        Loop(
+            "b",
+            Const(0),
+            nkr,
+            [
+                Let("f", dist(0) * Sym("fr")),
+                If(
+                    b.lt(Sym("hail_bin")),
+                    [Store("dists", (Const(2), r, b), Sym("f"), "+=")],
+                    [Store("dists", (Const(6), r, b), Sym("f"), "+=")],
+                ),
+                Store("dists", (Const(0), r, b), Sym("f"), "-="),
+                Assign("dq", Sym("dq") + Sym("f") * x(b)),
+            ],
+        ),
+        Assign("tm", Sym("tm") + Const(L_F / C_P) * (Sym("dq") / rh)),
+    ]
+    melt = [Decl("dqm", "double"), Decl("anym", "long")]
+    for slot in range(1, len(Species)):
+        mf = Sym("mf_slow") if slot >= 5 else Sym("mf_fast")
+        melt += [
+            Assign("dqm", Const(0.0)),
+            Assign("anym", Const(0)),
+            Loop(
+                "b",
+                Const(0),
+                nkr,
+                [
+                    Let("mv", dist(slot) * mf),
+                    If(Sym("mv").ne(Const(0.0)), [Assign("anym", Const(1))]),
+                    Store("dists", (Const(slot), r, b), Sym("mv"), "-="),
+                    Store("dists", (Const(0), r, b), Sym("mv"), "+="),
+                    Assign("dqm", Sym("dqm") + Sym("mv") * x(b)),
+                ],
+            ),
+            Assign("tm", Sym("tm") - Const(L_F / C_P) * (Sym("dqm") / rh)),
+            If(Sym("anym"), [Assign("fl", Sym("fl") + Const(1 << slot))]),
+        ]
+    per_row = [
+        Let("r", Load("idx", (p,)), ctype="long"),
+        Let("t0", Load("t", (p,))),
+        Let("rh", Load("rho", (p,))),
+        Decl("tm", "double", t0),
+        Decl("fl", "long", Const(0)),
+        Let("sc", _max0(Const(T_0) - t0)),
+        # The Bigg rate is only evaluated where it applies.
+        Let(
+            "fr",
+            Select(
+                Sym("sc").gt(Const(5.0)),
+                Select(
+                    t0.le(Const(T_HOMOGENEOUS)),
+                    Const(1.0),
+                    Const(1.0)
+                    - Call(
+                        "exp",
+                        (
+                            (
+                                Const(-BIGG_A)
+                                * Call("exp", (Const(BIGG_B) * Sym("sc"),))
+                            )
+                            * Sym("dt"),
+                        ),
+                    ),
+                ),
+                Const(0.0),
+            ),
+        ),
+        If(Sym("fr").ne(Const(0.0)), freeze),
+        If(Sym("tm").gt(Const(T_0)), melt),
+        Store("t", (p,), Sym("tm")),
+        Store("flags", (p,), Sym("fl")),
+    ]
+    return Kernel(
+        name="freeze_melt_rows",
+        params=(
+            _rows_param(),
+            _vec("idx", ctype="long"),
+            _vec("t", "inout"),
+            _vec("rho"),
+            _vec("masses"),
+            _vec("flags", "out", ctype="unsigned char"),
+            ScalarParam("n", "long"),
+            ScalarParam("nkr", "long"),
+            ScalarParam("ld", "long"),
+            ScalarParam("hail_bin", "long"),
+            ScalarParam("dt"),
+            ScalarParam("mf_fast"),
+            ScalarParam("mf_slow"),
+        ),
+        body=[Loop("p", Const(0), Sym("n"), per_row)],
+        doc=(
+            "freezing_melting_step on rows idx[p]: liquid freezing to "
+            "plates/hail, then melting of each ice species above 0 C, with "
+            "latent heat; flags record the reference's per-call gates."
+        ),
+    )
+
+
+def _pairwise_sum(load, nkr: Sym) -> list:
+    """Statements summing ``load(b)`` over ``b < nkr`` into ``res`` in
+    numpy's pairwise order for ``nkr <= 128``: eight running partial
+    sums over whole blocks of eight, combined as a tree, then the tail
+    in sequence (``nkr < 8``: one sequential sum from zero). This is
+    exactly the order of numpy's ``sum(axis=1)`` over a contiguous
+    ``(rows, nkr)`` array, so the sums are bit-identical to it."""
+    q = Sym("q")
+    acc = [f"a{j}" for j in range(8)]
+    a = [Sym(n) for n in acc]
+    tree = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    blocks = [
+        *(Decl(acc[j], "double", load(Const(j))) for j in range(8)),
+        Loop(
+            "q",
+            Const(1),
+            Sym("nblk"),
+            [Assign(acc[j], a[j] + load(q * 8 + j)) for j in range(8)],
+        ),
+        Assign("res", tree),
+    ]
+    return [
+        Decl("res", "double", Const(0.0)),
+        If(Sym("nblk").gt(Const(0)), blocks),
+        Loop(
+            "b",
+            Sym("nblk") * 8,
+            nkr,
+            [Assign("res", Sym("res") + load(Sym("b")))],
+        ),
+    ]
+
+
+def build_census_rows_ir() -> Kernel:
+    """Per-row bookkeeping of the microphysics driver, one pass.
+
+    For each row ``r = idx[p]`` and species ``s`` of the table: the
+    bin sum ``sums[s, p]`` (numpy's pairwise order, see
+    :func:`_pairwise_sum`), the occupied-bin bound ``occ[s, p]``
+    (highest bin above ``eps`` plus one, 0 when none) and, in bit
+    ``s`` of ``nz[p]``, whether any bin is nonzero. The driver derives
+    from these the ice/warm gates, the collision predicate and
+    selection sums and the occupied-bin rectangles, without copying a
+    row.
+    """
+    p, s, b, r = Sym("p"), Sym("s"), Sym("b"), Sym("r")
+    nkr = Sym("nkr")
+    load = lambda i: Load("dists", (s, r, i))
+    per_species = [
+        *_pairwise_sum(load, nkr),
+        Decl("oc", "long", Const(0)),
+        Decl("anyf", "long", Const(0)),
+        Loop(
+            "b",
+            Const(0),
+            nkr,
+            [
+                Let("v", load(b)),
+                If(Sym("v").gt(Sym("eps")), [Assign("oc", b + 1)]),
+                If(Sym("v").ne(Const(0.0)), [Assign("anyf", Const(1))]),
+            ],
+        ),
+        Store("sums", (s, p), Sym("res")),
+        Store("occ", (s, p), Sym("oc")),
+        If(Sym("anyf"), [Assign("bits", Sym("bits") + Sym("bit"))]),
+        Assign("bit", Sym("bit") + Sym("bit")),
+    ]
+    per_row = [
+        Let("r", Load("idx", (p,)), ctype="long"),
+        Decl("bits", "long", Const(0)),
+        Decl("bit", "long", Const(1)),
+        Loop("s", Const(0), Sym("nsp"), per_species),
+        Store("nz", (p,), Sym("bits")),
+    ]
+    return Kernel(
+        name="census_rows",
+        params=(
+            _rows_param(intent="in"),
+            _vec("idx", ctype="long"),
+            ArrayParam("sums", strides=(Sym("n"), Const(1)), intent="out"),
+            ArrayParam(
+                "occ", strides=(Sym("n"), Const(1)), ctype="long", intent="out"
+            ),
+            _vec("nz", "out", ctype="unsigned char"),
+            ScalarParam("n", "long"),
+            ScalarParam("nsp", "long"),
+            ScalarParam("nkr", "long"),
+            ScalarParam("ld", "long"),
+            ScalarParam("nblk", "long"),
+            ScalarParam("eps"),
+        ),
+        body=[Loop("p", Const(0), Sym("n"), per_row)],
+        doc=(
+            "Row census: per-species bin sums (numpy pairwise order), "
+            "occupied-bin bounds and nonzero flags of rows idx[p]."
         ),
     )
 
@@ -1047,11 +1496,17 @@ loopir.register_kernel(
         transform=transform.plan_offload,
     )
 )
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="cond_grow", build=build_cond_grow_ir, transform=_plan_serial
+#: The row-local point kernels of the in-place driver, all serial.
+ROW_KERNELS = {
+    "cond_grow": build_cond_grow_ir,
+    "nucleate_rows": build_nucleate_ir,
+    "freeze_melt_rows": build_freeze_melt_ir,
+    "census_rows": build_census_rows_ir,
+}
+for _name, _builder in ROW_KERNELS.items():
+    loopir.register_kernel(
+        loopir.KernelSpec(name=_name, build=_builder, transform=_plan_serial)
     )
-)
 #: The C real types the collision passes are emitted for.
 COAL_REALS = ("double", "float")
 for _c_real in COAL_REALS:
@@ -1105,8 +1560,22 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_long, ctypes.c_long,
     ]
     vp, lg, db = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.cond_grow.restype = None
-    lib.cond_grow.argtypes = [vp] * 10 + [lg, lg, db, db, db]
+    signatures = {
+        # n, idx, qv, qs, rho, gc, masses, radii, dmass, ccn_add, bound;
+        # nsel, nkr, ld; c0, dt, x_min
+        "cond_grow": [vp] * 11 + [lg] * 3 + [db] * 3,
+        # dists, idx, t, pres, qv, rho, ccn; n, ld; x0, xi0
+        "nucleate_rows": [vp] * 7 + [lg] * 2 + [db] * 2,
+        # dists, idx, t, rho, masses, flags; n, nkr, ld, hail_bin;
+        # dt, mf_fast, mf_slow
+        "freeze_melt_rows": [vp] * 6 + [lg] * 4 + [db] * 3,
+        # dists, idx, sums, occ, nz; n, nsp, nkr, ld, nblk; eps
+        "census_rows": [vp] * 5 + [lg] * 5 + [db],
+    }
+    for name, argtypes in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = argtypes
     for c_real in COAL_REALS:
         real = ctypes.c_float if c_real == "float" else ctypes.c_double
         limit = getattr(lib, f"coal_limit_{_suffix(c_real)}")
@@ -1116,10 +1585,14 @@ def _declare(lib: ctypes.CDLL) -> None:
         limit.argtypes = [vp] * 8 + [lg] * 5 + [real, real, lg]
         update = getattr(lib, f"coal_update_{_suffix(c_real)}")
         update.restype = None
-        # idx, a, b, ap, bp, pkr, pgr, pkc, pgc, ws, d5, dd, dists;
-        # npts, nkr, na, nb, nd, ha, hb, hd, ldkr, ldgr, ldkc, ldgc;
-        # half, dt, hdt; selfc, pmode
-        update.argtypes = [vp] * 13 + [lg] * 12 + [real] * 3 + [lg, lg]
+        # idx, a, b, ap, bp, pkr, pgr, pkc, pgc, ws, d5, dd, dists,
+        # [rsum]; npts, nkr, [nblk], ld, na, nb, nd, ha, hb, hd, ldkr,
+        # ldgr, ldkc, ldgc; half, dt, hdt; selfc, pmode (the bracketed
+        # row-sum arguments in double only)
+        sums = 1 if c_real == "double" else 0
+        update.argtypes = (
+            [vp] * (13 + sums) + [lg] * (13 + sums) + [real] * 3 + [lg, lg]
+        )
 
 
 # Derive annotations, verify, and emit the C source; an illegal
@@ -1131,7 +1604,7 @@ _module = cgen.build_module(
         transform.plan_offload(build_sed_sweep_ir()).kernel,
         _plan_serial(build_sed_sweep_members_ir()).kernel,
         transform.plan_offload(build_remap_scatter_ir()).kernel,
-        _plan_serial(build_cond_grow_ir()).kernel,
+        *(_plan_serial(builder()).kernel for builder in ROW_KERNELS.values()),
         *(
             _plan_serial(builder(c_real)).kernel
             for c_real in COAL_REALS
@@ -1301,6 +1774,75 @@ def remap_scatter(
     )
 
 
+def _require(ok: bool, what: str) -> None:
+    """Refuse buffers a kernel would misaddress (it trusts its pointers)."""
+    if not ok:
+        raise ValueError(f"compiled fsbm kernel: bad arguments ({what})")
+
+
+def _require_rows(idx: np.ndarray, nrows: int) -> None:
+    _require(
+        idx.size == 0 or (idx.min() >= 0 and idx.max() < nrows),
+        "row index out of range",
+    )
+
+
+def row_stride(views) -> int:
+    """Common row stride (in elements) of float64 ``(rows, nkr)`` views.
+
+    The in-place kernels address row ``r`` of species ``s`` at
+    ``base[s] + r * ld``: every view must be float64 with a unit bin
+    stride, all must share ``nkr`` and the row stride, and ``ld`` must
+    be at least ``nkr`` (rows may not overlap). A compact array has
+    ``ld == nkr``; the bin columns of the resident superblock have
+    ``ld = 3 + 7 * nkr``.
+    """
+    ref = views[0]
+    _require(
+        all(
+            v.ndim == 2
+            and v.dtype == np.float64
+            and v.strides[1] == v.itemsize
+            and v.shape[1] == ref.shape[1]
+            and v.strides[0] == ref.strides[0]
+            for v in views
+        ),
+        "row views must be float64 (rows, nkr), unit bin stride, one row stride",
+    )
+    nkr = ref.shape[1]
+    ld, rem = divmod(ref.strides[0], ref.itemsize)
+    _require(
+        rem == 0 and nkr <= MAX_NKR and ld >= nkr,
+        "row stride must be whole elements and at least nkr (<= MAX_NKR)",
+    )
+    return ld
+
+
+def addressable(views) -> bool:
+    """Whether the row kernels can address these row views in place."""
+    try:
+        row_stride(list(views))
+    except ValueError:
+        return False
+    return True
+
+
+def _row_table(views, rows: np.ndarray):
+    """``(pointer table, ld, nkr, rows)`` for a row-addressed kernel."""
+    ld = row_stride(views)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    _require(rows.ndim == 1, "rows must be one-dimensional")
+    _require_rows(rows, min(v.shape[0] for v in views))
+    table = (ctypes.c_void_p * len(views))(*[v.ctypes.data for v in views])
+    return table, ld, views[0].shape[1], rows
+
+
+def _per_row(n: int, *vectors) -> list[np.ndarray]:
+    out = [np.ascontiguousarray(v, dtype=np.float64) for v in vectors]
+    _require(all(v.shape == (n,) for v in out), "one value per selected row")
+    return out
+
+
 def cond_grow(
     lib: ctypes.CDLL,
     n: np.ndarray,
@@ -1314,52 +1856,123 @@ def cond_grow(
     c0: float,
     dt: float,
     x_min: float,
+    bound: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grow, remap and vapor-limit rows ``idx`` of ``n`` in place.
 
-    ``n`` is one species' C-contiguous float64 ``(rows, nkr)`` array;
-    ``qv``/``qs``/``rho``/``gc`` are float64 per selected row (index
-    ``p`` of ``idx``). Returns ``(dmass, ccn_add)`` per selected row.
+    ``n`` is one species' float64 ``(rows, nkr)`` row view (any row
+    stride ``>= nkr``, see :func:`row_stride`); ``qv``/``qs``/``rho``/
+    ``gc`` are float64 per selected row (index ``p`` of ``idx``).
+    Returns ``(dmass, ccn_add)`` per selected row; ``bound``, a bool
+    array of one entry per selected row, receives where the vapor
+    limiter bound.
     """
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    qv, qs, rho, gc, masses, radii = (
-        np.ascontiguousarray(v, dtype=np.float64)
-        for v in (qv, qs, rho, gc, masses, radii)
-    )
+    table, ld, nkr, idx = _row_table([n], idx)
     nsel = idx.shape[0]
-    nkr = n.shape[1]
-    _require(
-        n.dtype == np.float64 and n.flags.c_contiguous and nkr <= MAX_NKR,
-        "n must be C-contiguous float64 with at most MAX_NKR bins",
-    )
-    _require(
-        all(v.shape == (nsel,) for v in (qv, qs, rho, gc))
-        and masses.shape == radii.shape == (nkr,),
-        "per-row and per-bin vector lengths",
-    )
-    _require_rows(idx, n.shape[0])
+    qv, qs, rho, gc = _per_row(nsel, qv, qs, rho, gc)
+    masses, radii = _per_row(nkr, masses, radii)
     dmass = np.empty(nsel)
     ccn_add = np.empty(nsel)
+    if bound is None:
+        bound = np.empty(nsel, dtype=np.bool_)
+    _require(
+        bound.dtype == np.bool_ and bound.flags.c_contiguous
+        and bound.shape == (nsel,),
+        "bound must be a contiguous bool array, one entry per row",
+    )
     lib.cond_grow(
         n.ctypes.data, idx.ctypes.data, qv.ctypes.data, qs.ctypes.data,
         rho.ctypes.data, gc.ctypes.data, masses.ctypes.data,
         radii.ctypes.data, dmass.ctypes.data, ccn_add.ctypes.data,
-        nsel, nkr, c0, dt, x_min,
+        bound.ctypes.data, nsel, nkr, ld, c0, dt, x_min,
     )
     return dmass, ccn_add
 
 
-def _require(ok: bool, what: str) -> None:
-    """Refuse buffers a kernel would misaddress (it trusts its pointers)."""
-    if not ok:
-        raise ValueError(f"compiled fsbm kernel: bad arguments ({what})")
-
-
-def _require_rows(idx: np.ndarray, nrows: int) -> None:
-    _require(
-        idx.size == 0 or (idx.min() >= 0 and idx.max() < nrows),
-        "row index out of range",
+def nucleate_rows(
+    lib: ctypes.CDLL,
+    views: list[np.ndarray],
+    rows: np.ndarray,
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+    rho_air: np.ndarray,
+    ccn: np.ndarray,
+    x0: float,
+    xi0: float,
+) -> None:
+    """``jernucl01_ks`` on ``rows`` of the liquid/dendrite/column/plate
+    row views, in place; ``temperature``/``qv``/``ccn`` (updated) and
+    ``pressure_mb``/``rho_air`` are contiguous float64 per row."""
+    _require(len(views) == 4, "liquid, dendrite, column and plate rows")
+    table, ld, _, rows = _row_table(views, rows)
+    n = rows.shape[0]
+    for v in (temperature, qv, ccn, pressure_mb, rho_air):
+        _require(
+            v.dtype == np.float64 and v.flags.c_contiguous and v.shape == (n,),
+            "per-row fields must be contiguous float64, one value per row",
+        )
+    lib.nucleate_rows(
+        table, rows.ctypes.data, temperature.ctypes.data,
+        pressure_mb.ctypes.data, qv.ctypes.data, rho_air.ctypes.data,
+        ccn.ctypes.data, n, ld, x0, xi0,
     )
+
+
+def freeze_melt_rows(
+    lib: ctypes.CDLL,
+    views: list[np.ndarray],
+    rows: np.ndarray,
+    temperature: np.ndarray,
+    rho_air: np.ndarray,
+    masses: np.ndarray,
+    hail_bin: int,
+    dt: float,
+    mf_fast: float,
+    mf_slow: float,
+) -> np.ndarray:
+    """Freezing/melting on ``rows`` of every species' row view (in
+    :class:`Species` order), in place; returns the per-row gate flags
+    (bit 0 froze, bit ``s`` species ``s`` melted)."""
+    _require(len(views) == len(Species), "one row view per species")
+    table, ld, nkr, rows = _row_table(views, rows)
+    n = rows.shape[0]
+    (masses,) = _per_row(nkr, masses)
+    for v in (temperature, rho_air):
+        _require(
+            v.dtype == np.float64 and v.flags.c_contiguous and v.shape == (n,),
+            "per-row fields must be contiguous float64, one value per row",
+        )
+    flags = np.empty(n, dtype=np.uint8)
+    lib.freeze_melt_rows(
+        table, rows.ctypes.data, temperature.ctypes.data,
+        rho_air.ctypes.data, masses.ctypes.data, flags.ctypes.data,
+        n, nkr, ld, hail_bin, dt, mf_fast, mf_slow,
+    )
+    return flags
+
+
+def census_rows(
+    lib: ctypes.CDLL, views: list[np.ndarray], rows: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sums, occ, nz)`` of ``rows`` in each row view.
+
+    ``sums[s]`` equals ``views[s][rows].sum(axis=1)`` bit for bit,
+    ``occ[s]`` is the highest bin above ``eps`` plus one (0 when none)
+    and bit ``s`` of ``nz`` says whether any bin of species ``s`` is
+    nonzero.
+    """
+    _require(len(views) <= 8, "at most eight species (one flag byte)")
+    table, ld, nkr, rows = _row_table(views, rows)
+    n, nsp = rows.shape[0], len(views)
+    sums = np.empty((nsp, n))
+    occ = np.empty((nsp, n), dtype=np.int64)
+    nz = np.empty(n, dtype=np.uint8)
+    lib.census_rows(
+        table, rows.ctypes.data, sums.ctypes.data, occ.ctypes.data,
+        nz.ctypes.data, n, nsp, nkr, ld, nkr // 8, eps,
+    )
+    return sums, occ, nz
 
 
 def _spectra(dtype, npts: int, *pairs) -> None:
@@ -1398,12 +2011,14 @@ def coal_limit(
     half: float,
     dt: float,
     self_collection: bool,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The limiter pass: ``(ap, bp)`` when the limiter binds, else None.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The limiter pass: ``(binding rows, ap, bp)``.
 
     ``a``/``b`` are C-contiguous ``(npts, na)``/``(npts, nb)`` spectra,
     ``pkr``/``pkc`` the pre-limit ``[K500|Kdel]`` products (row-major,
-    unit stride, any leading dimension), all of one real dtype.
+    unit stride, any leading dimension), all of one real dtype. The
+    limited spectra ``ap``/``bp`` are meaningful only when some row
+    binds.
     """
     npts, na = a.shape
     nb = b.shape[1]
@@ -1419,7 +2034,7 @@ def coal_limit(
         ap.ctypes.data, bp.ctypes.data, bind.ctypes.data,
         npts, na, nb, ldr, ldc, half, dt, 1 if self_collection else 0,
     )
-    return (ap, bp) if bind[0] else None
+    return int(bind[0]), ap, bp
 
 
 def coal_update(
@@ -1438,45 +2053,45 @@ def coal_update(
     dt: float,
     self_collection: bool,
     pmode: int,
-) -> None:
+) -> np.ndarray:
     """The update pass: losses, gains and write-back into ``dists`` rows.
 
     ``pk``/``pg`` are the (row, column) loss and gain products,
     ``diag`` the ``(d500, ddel)`` diagonal operators and ``dists`` the
-    C-contiguous float64 ``(collector, collected, product)`` arrays
-    written at rows ``idx``; ``pmode`` is 1 when the product is the
-    collector, 2 when it is the collected species, 0 otherwise.
+    float64 ``(collector, collected, product)`` row views (one row
+    stride, see :func:`row_stride`) written at rows ``idx``; ``pmode``
+    is 1 when the product is the
+    collector, 2 when it is the collected species, 0 otherwise. The
+    float64 pass returns the ``(3, npts)`` sums of the written
+    collector, collected and product rows, equal to numpy's
+    ``sum(axis=1)`` of them; the float32 pass returns None.
     """
     npts, na = a.shape
     nb = b.shape[1]
-    nkr = dists[0].shape[1]
     nd = min(na, nb)
     _spectra(a.dtype, npts, (a, na), (b, nb), (ap, na), (bp, nb), (ws[:, None], 1))
     _spectra(a.dtype, 1, (diag[0][None, :], nd), (diag[1][None, :], nd))
+    table, ld, nkr, idx = _row_table(list(dists), idx)
     _require(
-        idx.dtype == np.int64 and idx.flags.c_contiguous and idx.shape == (npts,)
-        and nkr <= MAX_NKR and max(na, nb) <= nkr
-        and all(
-            d.dtype == np.float64 and d.flags.c_contiguous and d.shape[1] == nkr
-            for d in dists
-        ),
-        "rows must be int64 and the distributions C-contiguous float64",
+        idx.shape == (npts,) and max(na, nb) <= nkr,
+        "one row per spectrum row, rectangle within the bins",
     )
-    _require_rows(idx, min(d.shape[0] for d in dists))
     pkr, ldkr = _mat(pk[0], a.dtype, npts, 2 * na)
     pkc, ldkc = _mat(pk[1], a.dtype, npts, 2 * nb)
     pgr, ldgr = _mat(pg[0], a.dtype, npts, 4 * na)
     pgc, ldgc = _mat(pg[1], a.dtype, npts, 4 * nb)
-    table = (_c_double_p * 3)(*[_dptr(d) for d in dists])
     real = a.dtype.type
     suffix = _pass_suffix(a.dtype)
+    rsum = np.empty((3, npts)) if suffix == "f64" else None
+    sums_out = () if rsum is None else (rsum.ctypes.data,)
+    blocks = () if rsum is None else (nkr // 8,)
     getattr(lib, f"coal_update_{suffix}")(
         idx.ctypes.data, a.ctypes.data, b.ctypes.data, ap.ctypes.data,
         bp.ctypes.data, pkr, pgr, pkc, pgc, ws.ctypes.data,
-        diag[0].ctypes.data, diag[1].ctypes.data,
-        ctypes.cast(table, ctypes.c_void_p),
-        npts, nkr, na, nb, nd, min(na, nkr - 1), min(nb, nkr - 1),
+        diag[0].ctypes.data, diag[1].ctypes.data, table, *sums_out,
+        npts, nkr, *blocks, ld, na, nb, nd, min(na, nkr - 1), min(nb, nkr - 1),
         min(nd, nkr - 1), ldkr, ldgr, ldkc, ldgc,
         half, dt, real(real(half) * real(dt)),
         1 if self_collection else 0, pmode,
     )
+    return rsum

@@ -214,6 +214,10 @@ class CoalWorkStats:
     pair_entries: float = 0.0
     #: (interaction, point) pairs actually exercised, for reports.
     interactions_used: float = 0.0
+    #: (interaction, point) pairs where the per-bin limiter bound (some
+    #: bin would have lost more than it held), a numerical-health
+    #: signal counted the same way by every engine.
+    limiter_binds: int = 0
 
     @property
     def flops(self) -> float:
@@ -232,6 +236,7 @@ class CoalWorkStats:
         self.kernel_entries += other.kernel_entries
         self.pair_entries += other.pair_entries
         self.interactions_used += other.interactions_used
+        self.limiter_binds += other.limiter_binds
 
 
 #: Number concentration below which a species does not participate in
@@ -283,10 +288,17 @@ class CoalSelection:
 
     @classmethod
     def build(
-        cls, dists: dict[Species, np.ndarray], temperature: np.ndarray
+        cls,
+        dists: dict[Species, np.ndarray],
+        temperature: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> "CoalSelection":
-        """Selection state for the current distributions."""
-        sums = {sp: d.sum(axis=1) for sp, d in dists.items()}
+        """Selection state for the current distributions (point ``p``
+        in row ``rows[p]``, or row ``p``)."""
+        if rows is None:
+            sums = {sp: d.sum(axis=1) for sp, d in dists.items()}
+        else:
+            sums = {sp: d[rows].sum(axis=1) for sp, d in dists.items()}
         return cls(temperature, sums, {})
 
     def gate(self, ix: Interaction) -> np.ndarray:
@@ -323,15 +335,28 @@ class CoalSelection:
         self,
         dists: dict[Species, np.ndarray],
         species: set[Species],
-        rows: np.ndarray,
+        points: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> None:
-        """Recompute sums of ``species`` at ``rows`` after a mutation.
+        """Recompute sums of ``species`` at ``points`` after a mutation.
 
-        Row sums are independent, so refreshing only the touched rows
-        is bitwise identical to a full recompute.
+        ``rows`` are the points' rows in the ``dists`` row views (the
+        points themselves when None). Row sums are independent, so
+        refreshing only the touched points is bitwise identical to a
+        full recompute.
         """
+        if rows is None:
+            rows = points
         for sp in species:
-            self._sums[sp][rows] = dists[sp][rows].sum(axis=1)
+            self._sums[sp][points] = dists[sp][rows].sum(axis=1)
+
+    def assign(
+        self, species: tuple[Species, ...], points: np.ndarray, sums: np.ndarray
+    ) -> None:
+        """Set the sums of ``species[k]`` at ``points`` to ``sums[k]``
+        (sums the compiled update already took, in numpy's order)."""
+        for sp, row_sums in zip(species, sums):
+            self._sums[sp][points] = row_sums
 
 
 def predict_coal_work(
@@ -370,6 +395,7 @@ def predict_coal_work_members(
     on_demand: bool,
     segments: list[tuple[int, int]],
     selection: CoalSelection | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[CoalWorkStats]:
     """Per-member work counts for one member-concatenated collision call.
 
@@ -378,7 +404,8 @@ def predict_coal_work_members(
     sums), so slicing the shared mask to a member's segment equals the
     mask a call on that member's rows alone computes; the per-member
     sums and counts below therefore accumulate exactly those numbers,
-    in the same interaction order.
+    in the same interaction order. ``rows`` locates the points in the
+    ``dists`` row views as in :func:`coal_bott_step_members`.
     """
     nkr = next(iter(dists.values())).shape[1]
     out = [
@@ -387,7 +414,7 @@ def predict_coal_work_members(
     if temperature.shape[0] == 0:
         return out
     if selection is None:
-        selection = CoalSelection.build(dists, temperature)
+        selection = CoalSelection.build(dists, temperature, rows)
     if not on_demand:
         for st, (s, e) in zip(out, segments):
             if e > s:
@@ -428,8 +455,9 @@ def _apply_dense(
     tables: KernelTables,
     nkr: int,
     g_split: np.ndarray,
-) -> None:
-    """One interaction's update via the dense pair-tensor contraction."""
+) -> int:
+    """One interaction's update via the dense pair-tensor contraction;
+    returns the number of rows where the limiter bound."""
     n_a = dists[ix.collector]
     n_b = dists[ix.collected]
     a = a_full[:, :na].astype(dtype)
@@ -453,6 +481,7 @@ def _apply_dense(
     if ix.self_collection:
         loss = ev.sum(axis=2) * dt
         loss = loss + ev.sum(axis=1) * dt
+        binds = _bound_rows(loss <= a)
         f_a = np.minimum(1.0, a / np.maximum(loss, 1e-30)).astype(dtype)
         ev = ev * (f_a[:, :, None] * f_a[:, None, :])
         loss = (ev.sum(axis=2) + ev.sum(axis=1)) * dt
@@ -467,6 +496,7 @@ def _apply_dense(
     else:
         loss_a = ev.sum(axis=2) * dt
         loss_b = ev.sum(axis=1) * dt
+        binds = _bound_rows(loss_a <= a, loss_b <= b)
         f_a = np.minimum(1.0, a / np.maximum(loss_a, 1e-30)).astype(dtype)
         f_b = np.minimum(1.0, b / np.maximum(loss_b, 1e-30)).astype(dtype)
         ev = ev * (f_a[:, :, None] * f_b[:, None, :])
@@ -485,6 +515,17 @@ def _apply_dense(
             n_a[idx] = a_new
             n_b[idx] = b_new
             dists[ix.product][idx] += gain
+    return binds
+
+
+def _bound_rows(*within: np.ndarray) -> int:
+    """Rows where some bin's loss is not within what it holds."""
+    if all(w.all() for w in within):
+        return 0
+    held = within[0].all(axis=1)
+    for w in within[1:]:
+        held &= w.all(axis=1)
+    return int(held.size - np.count_nonzero(held))
 
 
 def _apply_sparse(
@@ -500,7 +541,7 @@ def _apply_sparse(
     dtype: np.dtype,
     tables: KernelTables,
     nkr: int,
-) -> None:
+) -> int:
     """One interaction's update via the factored sparse operators.
 
     Losses: with the limiter separable, the post-limit row loss is
@@ -510,7 +551,7 @@ def _apply_sparse(
     column + 1, diagonal + 1), each of which is again a matmul against
     an operator with the split weight folded in, followed by cheap
     column shifts. Nothing of size ``na * nb`` is ever materialized
-    per point.
+    per point. Returns the number of rows where the limiter bound.
     """
     n_a = dists[ix.collector]
     n_b = dists[ix.collected]
@@ -526,7 +567,8 @@ def _apply_sparse(
     if ix.self_collection:
         cs = half * a * (b @ k5 + wsc * (b @ kd)) * dt
         loss = rs + cs
-        if np.all(loss <= a):
+        binds = _bound_rows(loss <= a)
+        if not binds:
             # Limiter never binds: a' == a exactly (zero bins have zero
             # loss), so the pre-limit losses are already final.
             ap = a
@@ -539,7 +581,8 @@ def _apply_sparse(
             cs = half * bp * (ap @ k5 + wsc * (ap @ kd)) * dt
     else:
         cs = half * b * (a @ k5 + wsc * (a @ kd)) * dt
-        if np.all(rs <= a) and np.all(cs <= b):
+        binds = _bound_rows(rs <= a, cs <= b)
+        if not binds:
             ap = a
             bp = b
         else:
@@ -592,6 +635,7 @@ def _apply_sparse(
             n_a[idx] = a_new
             n_b[idx] = b_new
             dists[ix.product][idx] += gain
+    return binds
 
 
 #: Rows per block of the compiled collision passes. Bounds the
@@ -614,7 +658,7 @@ def _apply_native(
     dtype: np.dtype,
     tables: KernelTables,
     nkr: int,
-) -> None:
+) -> int:
     """One interaction's sparse update through the compiled passes.
 
     The same physics as :func:`_apply_sparse`, on the same cached
@@ -629,13 +673,23 @@ def _apply_native(
     Rows go through in blocks of :data:`NATIVE_BLOCK_ROWS` counted from
     the start of ``idx`` — one member's rows — so a member's blocks,
     and with them its results, do not depend on the other members.
+    ``idx`` are rows of the ``dists`` row views, read and written in
+    place. Returns the number of rows where the limiter bound and, in
+    float64, the ``(3, rows)`` sums of the written collector/collected/
+    product rows (None in float32).
     """
     ops = _coal_operators(tables, ix.name, nkr, na, nb, dtype)
+    binds = 0
+    sums = np.empty((3, idx.shape[0])) if dtype == np.float64 else None
     for s in range(0, idx.shape[0], NATIVE_BLOCK_ROWS):
-        _apply_native_block(
-            lib, dists, ix, idx[s : s + NATIVE_BLOCK_ROWS], na, nb,
-            ws[s : s + NATIVE_BLOCK_ROWS], dt, dtype, ops,
+        e = s + NATIVE_BLOCK_ROWS
+        block_binds, block_sums = _apply_native_block(
+            lib, dists, ix, idx[s:e], na, nb, ws[s:e], dt, dtype, ops
         )
+        binds += block_binds
+        if sums is not None:
+            sums[:, s:e] = block_sums
+    return binds, sums
 
 
 def _products(x: np.ndarray, mats: tuple) -> np.ndarray:
@@ -665,7 +719,7 @@ def _apply_native_block(
     dt: float,
     dtype: np.dtype,
     ops: tuple,
-) -> None:
+) -> tuple[int, np.ndarray | None]:
     """:func:`_apply_native` on one block of rows."""
     (k5t, k5, l5t, lh5t, u5, uh5, d5), (kdt, kd, ldt, lhdt, ud, uhd, dd) = ops
     n_a = dists[ix.collector]
@@ -676,12 +730,13 @@ def _apply_native_block(
     half = dtype.type(0.5) if selfc else dtype.type(1.0)
 
     pk = (_products(b, (k5t, kdt)), _products(a, (k5, kd)))
-    limited = ckernels.coal_limit(lib, a, b, pk[0], pk[1], ws, half, dt, selfc)
-    if limited is None:
-        ap, bp = a, b
-    else:
-        ap, bp = limited
+    binds, ap, bp = ckernels.coal_limit(
+        lib, a, b, pk[0], pk[1], ws, half, dt, selfc
+    )
+    if binds:
         pk = (_products(bp, (k5t, kdt)), _products(ap, (k5, kd)))
+    else:
+        ap, bp = a, b
     pg = (
         _products(bp, (l5t, ldt, lh5t, lhdt)),
         _products(ap, (u5, ud, uh5, uhd)),
@@ -692,18 +747,22 @@ def _apply_native_block(
         pmode = 2
     else:
         pmode = 0
-    ckernels.coal_update(
+    sums = ckernels.coal_update(
         lib, idx, a, b, ap, bp, pk, pg, ws, (d5, dd),
         (n_a, n_b, dists[ix.product]), half, dt, selfc, pmode,
     )
+    return binds, sums
 
 
-def _native_lib(dists: dict[Species, np.ndarray], dtype: np.dtype, nkr: int):
-    """The compiled kernels when they can run this call, else ``None``."""
-    if dtype not in (np.float32, np.float64) or nkr > ckernels.MAX_NKR:
-        return None
-    if not all(
-        d.dtype == np.float64 and d.flags.c_contiguous for d in dists.values()
+def _native_lib(dists: dict[Species, np.ndarray], dtype: np.dtype):
+    """The compiled kernels when they can run this call, else ``None``.
+
+    The distributions may be any row views with one common row stride
+    (:func:`repro.fsbm.ckernels.row_stride`): compact ``(points, nkr)``
+    arrays or the resident superblock's bin columns.
+    """
+    if dtype not in (np.float32, np.float64) or not ckernels.addressable(
+        dists.values()
     ):
         return None
     return ckernels.load_kernels()
@@ -725,8 +784,9 @@ def coal_bott_step(
 ) -> CoalWorkStats:
     """Advance all distributions by one collision step, in place.
 
-    ``dists`` maps species to ``(npts, nkr)`` arrays (already gathered
-    to active points). ``dtype`` selects the arithmetic precision: the
+    ``dists`` maps species to ``(npts, nkr)`` arrays of the active
+    points (compact; :func:`coal_bott_step_members` also takes row
+    views and a row list). ``dtype`` selects the arithmetic precision: the
     offloaded stages pass ``float32`` to reproduce device arithmetic,
     which is what the Sec. VII-B digit comparison measures.
 
@@ -762,13 +822,16 @@ def coal_bott_step_members(
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
     native: bool = True,
+    rows: np.ndarray | None = None,
 ) -> list[CoalWorkStats]:
     """One collision step over member-concatenated points, in place.
 
-    ``dists`` holds every member's active points concatenated
-    member-major; ``segments[m]`` is member ``m``'s row range. Returns
-    the per-member work stats, equal to what a call on each member's
-    rows alone reports.
+    The per-point arrays hold every member's active points concatenated
+    member-major; ``segments[m]`` is member ``m``'s range of points.
+    ``dists`` maps species to row views (:mod:`repro.fsbm.rows`): point
+    ``p``'s bins are row ``rows[p]``, or row ``p`` when ``rows`` is
+    None. Returns the per-member work stats, equal to what a call on
+    each member's points alone reports.
 
     What is shared across members is everything row-local: the
     temperature-gate cache, the per-row sums, the interaction masks,
@@ -788,10 +851,10 @@ def coal_bott_step_members(
     """
     npts = temperature.shape[0]
     if selection is None and npts:
-        selection = CoalSelection.build(dists, temperature)
+        selection = CoalSelection.build(dists, temperature, rows)
     stats = predict_coal_work_members(
         dists, temperature, tables, interactions, occupied, on_demand,
-        segments, selection=selection,
+        segments, selection=selection, rows=rows,
     )
     if npts == 0:
         return stats
@@ -804,7 +867,7 @@ def coal_bott_step_members(
     ).astype(dtype)
     use_sparse = use_sparse and _pair_split(nkr).triangular
     g_split = None if use_sparse else _split_tensor(nkr)
-    lib = _native_lib(dists, dtype, nkr) if native and use_sparse else None
+    lib = _native_lib(dists, dtype) if native and use_sparse else None
     live = selection.fork()
     starts = np.asarray([s for s, _ in segments])
     stops = np.asarray([e for _, e in segments])
@@ -814,43 +877,55 @@ def coal_bott_step_members(
         if not sel.any():
             continue
         idx = np.flatnonzero(sel)
+        bin_rows = idx if rows is None else rows[idx]
         occ_a = occupied[ix.collector] if occupied is not None else None
         occ_b = occupied[ix.collected] if occupied is not None else None
         los = np.searchsorted(idx, starts)
         his = np.searchsorted(idx, stops)
+        written = (ix.collector, ix.collected, ix.product)
+        fresh = (
+            np.empty((3, idx.shape[0]))
+            if lib is not None and dtype == np.float64
+            else None
+        )
 
-        for lo, hi in zip(los, his):
+        for m, (lo, hi) in enumerate(zip(los, his)):
             if hi == lo:
                 continue
-            rows = idx[lo:hi]
+            pts = idx[lo:hi]
+            brows = bin_rows[lo:hi]
             # Restrict the pair loops to occupied bins: empty bins
             # contribute exact zeros, so the result is bitwise identical
             # while the work shrinks to what the scalar code's
             # occupied-bin bounds would do.
             if occ_a is not None:
-                na = max(1, int(occ_a[rows].max()))
-                nb = max(1, int(occ_b[rows].max()))
+                na = max(1, int(occ_a[pts].max()))
+                nb = max(1, int(occ_b[pts].max()))
             else:
                 na = nb = nkr
             if lib is not None:
-                _apply_native(
-                    lib, dists, ix, rows, na, nb, w_full[rows], dt, dtype,
+                binds, sums = _apply_native(
+                    lib, dists, ix, brows, na, nb, w_full[pts], dt, dtype,
                     tables, nkr,
                 )
-                continue
-            a_full = dists[ix.collector][rows]
-            b_full = dists[ix.collected][rows]
-            ws = w_full[rows]
-            if use_sparse:
-                _apply_sparse(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr,
+                if fresh is not None:
+                    fresh[:, lo:hi] = sums
+            elif use_sparse:
+                binds = _apply_sparse(
+                    dists, ix, brows, dists[ix.collector][brows],
+                    dists[ix.collected][brows], na, nb, w_full[pts], dt,
+                    dtype, tables, nkr,
                 )
             else:
-                _apply_dense(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr, g_split,
+                binds = _apply_dense(
+                    dists, ix, brows, dists[ix.collector][brows],
+                    dists[ix.collected][brows], na, nb, w_full[pts], dt,
+                    dtype, tables, nkr, g_split,
                 )
-        live.refresh(dists, {ix.collector, ix.collected, ix.product}, idx)
+            stats[m].limiter_binds += binds
+        if fresh is not None:
+            live.assign(written, idx, fresh)
+        else:
+            live.refresh(dists, set(written), idx, bin_rows)
 
     return stats

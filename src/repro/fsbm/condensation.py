@@ -10,9 +10,10 @@ enthalpy are conserved to rounding.
 
 With ``native`` the per-bin work of a species (growth, remap, vapor
 limiter, blend) is one pass per row of the compiled
-:func:`repro.fsbm.ckernels.cond_grow`; the numpy reference (vectorized
-scatter, BLAS mass contents) runs otherwise and is what the compiled
-path is tested against.
+:func:`repro.fsbm.ckernels.cond_grow`, in place in the rows the
+driver names (:mod:`repro.fsbm.rows`); the numpy reference
+(vectorized scatter, BLAS mass contents) runs otherwise, on a take of
+those rows, and is what the compiled path is tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fsbm import ckernels
+from repro.fsbm import rows as rowmod
 from repro.fsbm.bins import BinGrid
 from repro.fsbm.species import ICE_HABITS, Species, species_bins
 from repro.fsbm.state import N_EPS
@@ -58,6 +60,9 @@ class CondWorkStats:
 
     points: int = 0
     bin_updates: float = 0.0
+    #: (species, point) updates the vapor limiter scaled back
+    #: (``|dq| > room``), a numerical-health signal.
+    limiter_binds: int = 0
 
     @property
     def flops(self) -> float:
@@ -70,6 +75,7 @@ class CondWorkStats:
     def merge(self, other: "CondWorkStats") -> None:
         self.points += other.points
         self.bin_updates += other.bin_updates
+        self.limiter_binds += other.limiter_binds
 
 
 def _remap_spectrum(
@@ -172,21 +178,12 @@ def _grow_species(
     return n_new, dmass, evap
 
 
-def _native_layout(dists: dict[Species, np.ndarray], species) -> bool:
-    """Whether the compiled kernel can update these arrays in place."""
-    return all(
-        dists[sp].dtype == np.float64
-        and dists[sp].flags.c_contiguous
-        and dists[sp].shape[1] <= ckernels.MAX_NKR
-        for sp in species
-    )
-
-
 def _grow_rows_native(
     lib,
     n: np.ndarray,
     sp: Species,
     rows: np.ndarray,
+    pos,
     over: str,
     temperature: np.ndarray,
     pressure_mb: np.ndarray,
@@ -196,30 +193,33 @@ def _grow_rows_native(
     g_coeff: np.ndarray,
     dt: float,
     grid: BinGrid,
-) -> None:
-    """One species' growth step on ``rows`` through the compiled kernel.
+) -> np.ndarray:
+    """One species' growth step at points ``pos`` through the kernel.
 
     The kernel does the per-bin work of :func:`_grow_species` and the
-    vapor limiter in one pass per row, updating ``n`` in place; the
-    saturation ratio and the vapor/temperature/CCN updates stay here.
-    ``g_coeff`` is already taken at ``rows``.
+    vapor limiter in one pass per row, updating rows ``rows[pos]`` of
+    ``n`` in place; the saturation ratio and the vapor/temperature/CCN
+    updates of the points stay here. Returns the per-point limiter
+    flags.
     """
-    t_s = temperature[rows]
-    qv_s = qv[rows]
-    rho_s = rho_air[rows]
-    qs = saturation_mixing_ratio(t_s, pressure_mb[rows], over)
+    t_s = temperature[pos]
+    qv_s = qv[pos]
+    rho_s = rho_air[pos]
+    qs = saturation_mixing_ratio(t_s, pressure_mb[pos], over)
     # The reference's scalar prefix of dm, in its operation order.
     c0 = 4.0 * np.pi * grid.density * _HABIT_FACTOR.get(sp, 1.0)
+    bound = np.empty(t_s.shape[0], dtype=np.bool_)
     dmass, ccn_add = ckernels.cond_grow(
-        lib, n, rows, qv_s, qs, rho_s, g_coeff, grid.masses, grid.radii,
-        c0, dt, grid.x_min,
+        lib, n, rows[pos], qv_s, qs, rho_s, g_coeff[pos], grid.masses,
+        grid.radii, c0, dt, grid.x_min, bound=bound,
     )
     dq = dmass / rho_s
-    qv[rows] = qv_s - dq
+    qv[pos] = qv_s - dq
     process = "condensation" if sp is Species.LIQUID else "deposition"
-    temperature[rows] = t_s + latent_heating(dq, process)
+    temperature[pos] = t_s + latent_heating(dq, process)
     if sp is Species.LIQUID:
-        ccn[rows] = ccn[rows] + ccn_add
+        ccn[pos] = ccn[pos] + ccn_add
+    return bound
 
 
 def _condensation_core_members(
@@ -236,26 +236,27 @@ def _condensation_core_members(
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
     rows: np.ndarray | None = None,
+    row_sums: dict[Species, np.ndarray] | None = None,
 ) -> list[CondWorkStats]:
     """Growth driver for onecond1/onecond2 (updates in place).
 
     Member ``m``'s fields and stats are bit-identical to a call on its
-    rows alone; the solo routines are the one-segment case. The call
-    rows are per-member gathers concatenated member-major — all rows of
-    the arrays, or the subset ``rows`` (sorted indices into them) when
-    given; ``segments[m]`` is member ``m``'s ``(start, stop)`` range of
-    call rows (empty ranges allowed).
+    points alone; the solo routines are the one-segment case. The
+    per-point arrays hold every member's call points concatenated
+    member-major, ``segments[m]`` being member ``m``'s ``(start,
+    stop)`` range (empty ranges allowed). ``dists`` maps species to row
+    views (:mod:`repro.fsbm.rows`): point ``p``'s bins are row
+    ``rows[p]``, or row ``p`` when ``rows`` is None.
 
     With ``native`` (and the compiled kernels loaded) each species is
     one :func:`repro.fsbm.ckernels.cond_grow` call over the selected
-    rows, updating the arrays in place through the row index; it is
-    row-local, so members never interact. Otherwise the numpy
-    reference runs on a gathered copy of ``rows``: elementwise
-    thermodynamics and the per-point KO-remap scatter are row-local,
-    so they run once over the concatenation and produce each member's
-    rows bit-for-bit. The ``n @ masses`` contractions are the
-    exception — BLAS matvec results depend on the call's row count —
-    so those are issued one BLAS call per member segment
+    points, updating their rows in place; it is row-local, so members
+    never interact. Otherwise the numpy reference runs on a take of the
+    rows: elementwise thermodynamics and the per-point KO-remap scatter
+    are row-local, so they run once over the concatenation and produce
+    each member's rows bit-for-bit. The ``n @ masses`` contractions are
+    the exception — BLAS matvec results depend on the call's row count
+    — so those are issued one BLAS call per member segment
     (:func:`_segmented_rowdot`), matching each member's own contraction
     exactly.
 
@@ -267,37 +268,33 @@ def _condensation_core_members(
     (they may hold tiny sub-threshold values a grow step would perturb)
     nor its work stats. Each species therefore processes only the row
     ranges of members that pass their own gates, and per-member
-    ``bin_updates`` accumulate only for those members.
+    ``bin_updates`` and ``limiter_binds`` accumulate only for those
+    members. ``row_sums`` optionally supplies each species' per-point
+    bin sums (numpy's ``sum(axis=1)`` of the rows, e.g. from the
+    driver's row census) for the gate; a species' rows are unchanged
+    until its own turn, so they are the sums the gate would take.
     """
     stats = [CondWorkStats(points=e - s) for (s, e) in segments]
-    npts = temperature.shape[0] if rows is None else rows.shape[0]
+    npts = temperature.shape[0]
     if npts == 0:
         return stats
     lib = ckernels.load_kernels() if native else None
-    if lib is None or not _native_layout(dists, species):
-        if rows is not None:
-            # numpy reference on a gathered copy of the call rows.
-            sub = {sp: dists[sp][rows] for sp in species}
-            t_s, p_s = temperature[rows], pressure_mb[rows]
-            qv_s, rho_s, ccn_s = qv[rows], rho_air[rows], ccn[rows]
-            stats = _condensation_core_members(
-                sub, species, over, t_s, p_s, qv_s, rho_s, ccn_s, dt,
-                segments, species_present=species_present, native=False,
-            )
-            for sp in species:
-                dists[sp][rows] = sub[sp]
-            temperature[rows], qv[rows], ccn[rows] = t_s, qv_s, ccn_s
-            return stats
+    if lib is None or not ckernels.addressable(dists[sp] for sp in species):
         lib = None
+        if rows is not None:
+            # numpy reference on a take of the call rows.
+            compact = rowmod.take(dists, rows, species)
+            stats = _condensation_core_members(
+                compact, species, over, temperature, pressure_mb, qv,
+                rho_air, ccn, dt, segments, species_present=species_present,
+                native=False, row_sums=row_sums,
+            )
+            rowmod.put(dists, rows, compact)
+            return stats
+    elif rows is None:
+        rows = np.arange(npts)
     grids = species_bins()
-    if rows is None:
-        g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
-        if lib is not None:
-            rows = np.arange(npts)
-    else:
-        g_coeff = condensational_growth_coefficient(
-            temperature[rows], pressure_mb[rows]
-        )
+    g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
 
     for sp in species:
         n = dists[sp]
@@ -312,9 +309,13 @@ def _condensation_core_members(
         ]
         if not flagged:
             continue
-        rowsum_hot = n.sum(axis=1) > N_EPS
-        if lib is not None:
-            rowsum_hot = rowsum_hot[rows]
+        if row_sums is not None:
+            sums = row_sums[sp]
+        elif lib is not None:
+            sums = ckernels.census_rows(lib, [n], rows, N_EPS)[0][0]
+        else:
+            sums = n.sum(axis=1)
+        rowsum_hot = sums > N_EPS
         passing = [
             m for m in flagged if rowsum_hot[segments[m][0] : segments[m][1]].any()
         ]
@@ -324,28 +325,29 @@ def _condensation_core_members(
         for m in passing:
             s, e = segments[m]
             stats[m].bin_updates += float((e - s) * nkr)
-        if lib is not None:
-            if len(seg_pass) == 1 and seg_pass[0] == (0, npts):
-                pos = slice(None)
-            else:
-                pos = np.concatenate([np.arange(s, e) for s, e in seg_pass])
-            _grow_rows_native(
-                lib, n, sp, rows[pos], over[sp], temperature, pressure_mb,
-                qv, rho_air, ccn, g_coeff[pos], dt, grids[sp],
-            )
-            continue
-        # Segment boundaries within the subset rows (for the per-member
-        # BLAS splits below).
+        # Segment boundaries within the passing points (for the
+        # per-member BLAS splits and limiter counts below).
         sub_segments, off = [], 0
         for s, e in seg_pass:
             sub_segments.append((off, off + (e - s)))
             off += e - s
         if off == npts:
             idx = None
+        else:
+            idx = np.concatenate([np.arange(s, e) for s, e in seg_pass])
+        if lib is not None:
+            bound = _grow_rows_native(
+                lib, n, sp, rows, slice(None) if idx is None else idx,
+                over[sp], temperature, pressure_mb, qv, rho_air, ccn,
+                g_coeff, dt, grids[sp],
+            )
+            for m, (s, e) in zip(passing, sub_segments):
+                stats[m].limiter_binds += int(np.count_nonzero(bound[s:e]))
+            continue
+        if idx is None:
             nn, t_s, p_s = n, temperature, pressure_mb
             qv_s, rho_s, ccn_s, gc_s = qv, rho_air, ccn, g_coeff
         else:
-            idx = np.concatenate([np.arange(s, e) for s, e in seg_pass])
             nn, t_s, p_s = n[idx], temperature[idx], pressure_mb[idx]
             qv_s, rho_s, ccn_s = qv[idx], rho_air[idx], ccn[idx]
             gc_s = g_coeff[idx]
@@ -361,9 +363,10 @@ def _condensation_core_members(
         room = np.where(
             dq >= 0.0, np.maximum(qv_s - qs, 0.0), np.maximum(qs - qv_s, 0.0)
         )
-        scale = np.where(
-            np.abs(dq) > room, room / np.maximum(np.abs(dq), 1e-300), 1.0
-        )
+        bound = np.abs(dq) > room
+        for m, (s, e) in zip(passing, sub_segments):
+            stats[m].limiter_binds += int(np.count_nonzero(bound[s:e]))
+        scale = np.where(bound, room / np.maximum(np.abs(dq), 1e-300), 1.0)
         scale = np.clip(scale, 0.0, 1.0)
         blended = nn + scale[:, None] * (n_new - nn)
         dmass = _segmented_rowdot(blended - nn, grids[sp].masses, sub_segments)
@@ -440,10 +443,12 @@ def onecond1_members(
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
     rows: np.ndarray | None = None,
+    row_sums: dict[Species, np.ndarray] | None = None,
 ) -> list[CondWorkStats]:
     """Member-batched :func:`onecond1` (liquid-only, warm points).
 
-    ``rows`` restricts the call to those rows of the arrays (see
+    ``rows`` names each point's row in the ``dists`` row views and
+    ``row_sums`` optionally supplies the gate's bin sums (see
     :func:`_condensation_core_members`).
     """
     return _condensation_core_members(
@@ -460,6 +465,7 @@ def onecond1_members(
         species_present=species_present,
         native=native,
         rows=rows,
+        row_sums=row_sums,
     )
 
 
@@ -475,12 +481,14 @@ def onecond2_members(
     species_present: list[dict[Species, bool]] | None = None,
     native: bool = True,
     rows: np.ndarray | None = None,
+    row_sums: dict[Species, np.ndarray] | None = None,
 ) -> list[CondWorkStats]:
-    """Member-batched :func:`onecond2` (mixed-phase points); ``rows`` as
-    in :func:`onecond1_members`."""
+    """Member-batched :func:`onecond2` (mixed-phase points); ``rows`` and
+    ``row_sums`` as in :func:`onecond1_members`."""
     species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
     over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
     return _condensation_core_members(
         dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
         segments, species_present=species_present, native=native, rows=rows,
+        row_sums=row_sums,
     )

@@ -8,9 +8,14 @@ collision part dispatched per optimization stage:
 * CPU stages charge the scalar-loop work to the rank clock through the
   Milan cost model;
 * offload stages fission the collision loop out (the paper's predicate
-  array ``call_coal_bott_new``), move the gathered bin data through
-  ``map`` clauses, and launch the kernel on the simulated A100 — in
-  float32, so device results genuinely differ from host float64.
+  array ``call_coal_bott_new``), move the called points' bin data
+  through ``map`` clauses, and launch the kernel on the simulated A100
+  — in float32, so device results genuinely differ from host float64.
+
+The driver works in place: the kernels read and write the admitted
+points' rows of the rank's storage (the resident superblock's bin
+columns, or per-species arrays) through row views, see
+:mod:`repro.fsbm.rows` and :func:`step_members`.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from repro.core.directives import (
 from repro.core.engine import KernelRecord, OffloadEngine
 from repro.core.kernel import Kernel, KernelResources, estimate_registers
 from repro.errors import ConfigurationError
+from repro.fsbm import ckernels
+from repro.fsbm import rows as rowmod
 from repro.fsbm.coal_bott import (
     CoalSelection,
     CoalWorkStats,
@@ -39,7 +46,7 @@ from repro.fsbm.coal_bott import (
     predict_coal_work,
 )
 from repro.fsbm.collision_kernels import KernelTables, get_tables
-# ``onecond1``/``onecond2`` are not called here (the solo driver routes
+# ``onecond1``/``onecond2`` are not called here (the driver routes
 # through the member-batched routines) but stay importable from this
 # module, where instrumentation wraps the physics entry points by name.
 from repro.fsbm.condensation import (  # noqa: F401
@@ -58,6 +65,7 @@ from repro.fsbm.sedimentation import (
 )
 from repro.fsbm.species import INTERACTIONS, Species
 from repro.fsbm.state import MicroState, N_EPS
+from repro.fsbm.thermo import saturation_mixing_ratio
 from repro.fsbm.temp_arrays import (
     FRAME_SWEEPS,
     TempArrays,
@@ -84,25 +92,6 @@ class SbmStepStats:
     coal_seconds: float = 0.0
     #: Simulated seconds spent in fast_sbm in total this step.
     fast_sbm_seconds: float = 0.0
-
-
-def _gather(arrays: dict[Species, np.ndarray], mask: np.ndarray):
-    """Gather per-species patch arrays to (npts, nkr) working copies.
-
-    Boolean-mask indexing is used (rather than flat indices) so the
-    patch arrays may be views into halo-extended allocations.
-    """
-    return {sp: arr[mask] for sp, arr in arrays.items()}
-
-
-def _scatter(
-    arrays: dict[Species, np.ndarray],
-    gathered: dict[Species, np.ndarray],
-    mask: np.ndarray,
-) -> None:
-    """Write gathered working copies back into the patch arrays."""
-    for sp, arr in arrays.items():
-        arr[mask] = gathered[sp]
 
 
 class FastSBM:
@@ -136,9 +125,8 @@ class FastSBM:
         #: on the host in fp64 and record the per-step agreement.
         self.autocompare = autocompare
         self.autocompare_reports: list = []
-        #: Route sedimentation, condensation and the collision passes
-        #: through the compiled kernels of :mod:`repro.fsbm.ckernels`
-        #: (numpy fallback is automatic).
+        #: Route the physics through the compiled kernels of
+        #: :mod:`repro.fsbm.ckernels` (numpy fallback is automatic).
         self.use_native_physics = use_native_physics
         self.temp_arrays: TempArrays | None = None
         if stage.uses_gpu and engine is None:
@@ -166,127 +154,34 @@ class FastSBM:
         rho_air: np.ndarray,
         dz_cm: float,
     ) -> SbmStepStats:
-        """Advance the patch microphysics by ``dt`` (all arrays in place)."""
-        stats = SbmStepStats()
-        ni, nk, nj = state.shape
-        nkr = state.nkr
-        npatch = ni * nk * nj
-        step_start = self.clock.total
+        """Advance the patch microphysics by ``dt`` (all arrays in place).
 
-        with self.clock.region("fast_sbm"):
-            # The i,k,j scan of Listing 1 (conditional tests at every cell).
-            self._charge_cpu(2.0 * npatch, 8.0 * npatch, iterations=npatch)
-
-            # Cells the microphysics touches: warm enough, and either
-            # carrying condensate or saturated enough to form some. (The
-            # Fortran scans every cell — charged above — but only these
-            # do real work inside the conditionals.)
-            from repro.fsbm.thermo import saturation_mixing_ratio
-
-            qs = saturation_mixing_ratio(temperature, pressure_mb)
-            condensate = state.total_condensate_mass()
-            mp_mask = (temperature > T_FREEZE_CUTOFF) & (
-                (condensate > N_EPS) | (qv > 0.98 * qs)
-            )
-            stats.mp_points = int(mp_mask.sum())
-            if stats.mp_points:
-                g_dists = _gather(state.dists, mp_mask)
-                g_t = temperature[mp_mask]
-                g_p = pressure_mb[mp_mask]
-                g_qv = qv[mp_mask]
-                g_rho = rho_air[mp_mask]
-                g_ccn = state.ccn[mp_mask]
-
-                # --- nucleation (jernucl01_ks) ------------------------------
-                with self.clock.region("jernucl01_ks"):
-                    stats.nucl = jernucl01_ks(
-                        g_dists, g_t, g_p, g_qv, g_rho, g_ccn, self.dt
-                    )
-                    self._charge_cpu(stats.nucl.flops, stats.nucl.bytes_moved)
-
-                # --- condensation (onecond1 / onecond2) ----------------------
-                with self.clock.region("onecond"):
-                    # One cheap presence scan per species (post-
-                    # nucleation): an all-zero species contributes
-                    # nothing to the ice gate and can skip every
-                    # per-subset occupancy probe inside the
-                    # condensation core, exactly.
-                    sp_present = {sp: bool(g_dists[sp].any()) for sp in Species}
-                    ice_present = np.zeros(g_t.shape[0], dtype=bool)
-                    for sp in Species:
-                        if sp is not Species.LIQUID and sp_present[sp]:
-                            ice_present |= g_dists[sp].sum(axis=1) > N_EPS
-                    warm = (g_t > T_0 - 5.0) & ~ice_present
-                    if self.offload_condensation:
-                        stats.cond = self._condensation_offloaded(
-                            state, g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm
-                        )
-                    else:
-                        stats.cond = self._condensation(
-                            g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
-                            species_present=sp_present,
-                        )
-                        self._charge_cpu(stats.cond.flops, stats.cond.bytes_moved)
-
-                # --- freezing / melting --------------------------------------
-                with self.clock.region("freezing"):
-                    stats.freeze = freezing_melting_step(
-                        g_dists, g_t, g_rho, self.dt
-                    )
-                    self._charge_cpu(stats.freeze.flops, stats.freeze.bytes_moved)
-
-                # --- collision–coalescence (coal_bott_new) --------------------
-                with self.clock.region("coal_bott_new"):
-                    before = self.clock.total
-                    stats.coal, stats.coal_points, stats.coal_record = (
-                        self._collisions(state, g_dists, g_t, g_p)
-                    )
-                    stats.coal_seconds = self.clock.total - before
-
-                _scatter(state.dists, g_dists, mp_mask)
-                temperature[mp_mask] = g_t
-                qv[mp_mask] = g_qv
-                state.ccn[mp_mask] = g_ccn
-
-            # --- sedimentation (full field) ----------------------------------
-            with self.clock.region("sedimentation"):
-                p_levels = pressure_mb.mean(axis=(0, 2))
-                stats.sed = sedimentation_step(
-                    state, p_levels, dz_cm, self.dt,
-                    native=self.use_native_physics,
-                )
-                self._charge_cpu(stats.sed.flops, stats.sed.bytes_moved)
-
-        stats.fast_sbm_seconds = self.clock.total - step_start
-        return stats
-
-    # --- condensation dispatch ------------------------------------------------
-
-    def _condensation(
-        self,
-        g_dists: dict[Species, np.ndarray],
-        g_t: np.ndarray,
-        g_p: np.ndarray,
-        g_qv: np.ndarray,
-        g_rho: np.ndarray,
-        g_ccn: np.ndarray,
-        warm: np.ndarray,
-        species_present: dict[Species, bool] | None = None,
-    ) -> CondWorkStats:
-        """Route warm points to onecond1 and mixed-phase to onecond2.
-
-        The one-member case of :func:`_condensation_members`.
+        The one-member case of :func:`step_members`.
         """
-        return _condensation_members(
-            [self], g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
-            [(0, g_t.shape[0])],
-            None if species_present is None else [species_present],
+        return step_members(
+            [self],
+            [state],
+            {sp: d[None] for sp, d in state.dists.items()},
+            state.ccn[None],
+            state.precip[None],
+            temperature[None],
+            pressure_mb[None],
+            qv[None],
+            rho_air[None],
+            dz_cm,
         )[0]
+
+    # --- offloaded regions -----------------------------------------------------
+    #
+    # The offloaded loops run on the device's copy of their points: the
+    # ``map(tofrom:)`` transfer is the take of the rows into compact
+    # arrays before the launch and the put back after it.
 
     def _condensation_offloaded(
         self,
         state: MicroState,
-        g_dists: dict[Species, np.ndarray],
+        views: dict[Species, np.ndarray],
+        rows: np.ndarray,
         g_t: np.ndarray,
         g_p: np.ndarray,
         g_qv: np.ndarray,
@@ -304,6 +199,7 @@ class FastSBM:
         assert self.engine is not None
         from repro.fsbm.condensation import FLOPS_PER_BIN
 
+        g_dists = rowmod.take(views, rows)
         npts = int(g_t.shape[0])
         ni, nk, nj = state.shape
         nkr = state.nkr
@@ -343,8 +239,11 @@ class FastSBM:
             name="onecond_loop",
             loop_extents=(nj, nk, ni),
             resources=resources,
-            body=lambda: result.append(
-                self._condensation(g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm)
+            body=lambda: result.extend(
+                _condensation_members(
+                    [self], g_dists, None, g_t, g_p, g_qv, g_rho, g_ccn,
+                    warm, [(0, npts)], None,
+                )
             ),
         )
         directive = TargetTeamsDistributeParallelDo(
@@ -369,69 +268,14 @@ class FastSBM:
             to_arrays=to_arrays,
             from_names=tuple(to_arrays),
         )
+        rowmod.put(views, rows, g_dists)
         return result[0] if result else CondWorkStats()
-
-    # --- collision dispatch ------------------------------------------------------
-
-    def _collisions(
-        self,
-        state: MicroState,
-        g_dists: dict[Species, np.ndarray],
-        g_t: np.ndarray,
-        g_p: np.ndarray,
-    ) -> tuple[CoalWorkStats, int, KernelRecord | None]:
-        """Run coal_bott_new per the active stage."""
-        # Per-species row sums serve both the condensate predicate and
-        # the interaction selection below — row sums are row-independent
-        # so slicing them to the called points is bitwise identical to
-        # CoalSelection.build on the gathered copies.
-        sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
-        condensate = np.zeros(g_t.shape)
-        for s in sums.values():
-            condensate += s
-        # The paper's predicate array call_coal_bott_new(i,k,j).
-        call_coal = (g_t > T_COAL_CUTOFF) & (condensate > N_EPS)
-        cidx = np.flatnonzero(call_coal)
-        if cidx.size == 0:
-            return CoalWorkStats(), 0, None
-
-        c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
-        c_t = g_t[cidx]
-        c_p = g_p[cidx]
-        occupied = _occupied_rows(c_dists)
-        # One selection for the whole step: the work prediction and the
-        # update (and its fp64 shadow) all test the same pre-step state.
-        selection = CoalSelection(c_t, {sp: s[cidx] for sp, s in sums.items()}, {})
-
-        if not self.stage.uses_gpu:
-            work = coal_bott_step(
-                c_dists,
-                c_t,
-                c_p,
-                self.dt,
-                self.tables,
-                INTERACTIONS,
-                occupied=occupied,
-                on_demand=self.stage.on_demand_kernels,
-                selection=selection,
-                native=self.use_native_physics,
-            )
-            self._charge_cpu(
-                work.flops, work.bytes_moved, iterations=int(work.pair_entries)
-            )
-            record = None
-        else:
-            work, record = self._collisions_offloaded(
-                state, c_dists, c_t, c_p, occupied, selection
-            )
-        for sp in g_dists:
-            g_dists[sp][cidx] = c_dists[sp]
-        return work, int(cidx.size), record
 
     def _collisions_offloaded(
         self,
         state: MicroState,
-        c_dists: dict[Species, np.ndarray],
+        views: dict[Species, np.ndarray],
+        rows: np.ndarray,
         c_t: np.ndarray,
         c_p: np.ndarray,
         occupied: dict[Species, np.ndarray],
@@ -447,6 +291,7 @@ class FastSBM:
             self.temp_arrays = TempArrays(state.shape)
             self.temp_arrays.allocate(self.engine)
 
+        c_dists = rowmod.take(views, rows)
         work = predict_coal_work(
             c_dists, c_t, self.tables, INTERACTIONS, occupied, on_demand=True,
             selection=selection,
@@ -454,6 +299,7 @@ class FastSBM:
         npts = int(c_t.shape[0])
         resources = self._coal_resources(work, npts, nkr)
         device_dtype = np.float32 if self.precision == "fp32" else np.float64
+        binds: list[int] = []
 
         def body() -> None:
             shadow = None
@@ -472,18 +318,20 @@ class FastSBM:
                     selection=selection,
                     native=self.use_native_physics,
                 )
-            coal_bott_step(
-                c_dists,
-                c_t,
-                c_p,
-                self.dt,
-                self.tables,
-                INTERACTIONS,
-                occupied=occupied,
-                on_demand=True,
-                dtype=device_dtype,
-                selection=selection,
-                native=self.use_native_physics,
+            binds.append(
+                coal_bott_step(
+                    c_dists,
+                    c_t,
+                    c_p,
+                    self.dt,
+                    self.tables,
+                    INTERACTIONS,
+                    occupied=occupied,
+                    on_demand=True,
+                    dtype=device_dtype,
+                    selection=selection,
+                    native=self.use_native_physics,
+                ).limiter_binds
             )
             if shadow is not None:
                 from repro.core.autocompare import autocompare_region
@@ -522,6 +370,8 @@ class FastSBM:
         record = self.engine.launch(
             kernel, directive, to_arrays=to_arrays, from_names=field_names
         )
+        rowmod.put(views, rows, c_dists)
+        work.limiter_binds = sum(binds)
         return work, record
 
     def _coal_resources(
@@ -588,22 +438,27 @@ def coal_kernel_resources(
     )
 
 
-# --- ensemble member batching -------------------------------------------------
+# --- the driver -----------------------------------------------------------------
 #
-# One fused microphysics sweep over N members resident in one stacked
-# block. The batching discipline, derived from what is and is not
-# bitwise row-stable on this host:
+# One fused microphysics sweep over N members (N = 1 for a solo patch)
+# resident in their storage. Nothing is gathered: the step builds one
+# row list of the admitted cells, member-major, and every kernel works
+# on those rows of the row views (:mod:`repro.fsbm.rows`) in place.
+# Only the five per-point thermodynamic scalars (t, p, qv, rho, ccn)
+# are taken into compact arrays and t, qv, ccn put back at the end.
 #
-# * elementwise ufuncs, boolean-mask gathers/scatters in C order, and
-#   per-row ``sum(axis=1)`` reductions run once over the member
+# The batching discipline, derived from what is and is not bitwise
+# row-stable in numpy and BLAS:
+#
+# * elementwise ufuncs, takes/puts in C order, per-row ``sum(axis=1)``
+#   reductions and the compiled row kernels run once over the member
 #   concatenation (each member's rows come out bit-for-bit);
 # * anything BLAS (`@`) and any branch whose predicate spans rows runs
 #   per member (see ``coal_bott_step_members`` /
-#   ``_condensation_core_members`` for the per-phase argument);
-# * the compiled C kernels (sedimentation sweep) carry an explicit
-#   member loop, which only moves the base pointer per member.
+#   ``_condensation_core_members``; freezing's work gates are per call,
+#   so it is called per member).
 #
-# Per-member ``SimClock`` charges replicate the solo step's region keys
+# Per-member ``SimClock`` charges replicate a solo step's region keys
 # and amounts exactly: a ``region`` context that charges nothing leaves
 # no trace, so only charge placement matters.
 
@@ -619,9 +474,65 @@ def _occupied_rows(dists: dict[Species, np.ndarray]) -> dict[Species, np.ndarray
     return out
 
 
+@dataclass
+class RowCensus:
+    """What the driver needs to know about its rows, per species."""
+
+    #: Bin sums, numpy's ``sum(axis=1)`` bit for bit.
+    sums: dict[Species, np.ndarray]
+    #: Highest bin above ``N_EPS`` plus one (0 when none).
+    occupied: dict[Species, np.ndarray]
+    #: Whether any bin of the species is nonzero.
+    nonzero: dict[Species, np.ndarray]
+
+
+def _census(lib, views: dict[Species, np.ndarray], rows: np.ndarray) -> RowCensus:
+    """The row census: one compiled pass, or numpy on a take."""
+    if lib is not None:
+        sums, occ, nz = ckernels.census_rows(
+            lib, [views[sp] for sp in Species], rows, N_EPS
+        )
+        return RowCensus(
+            sums=dict(zip(Species, sums)),
+            occupied=dict(zip(Species, occ)),
+            nonzero={
+                sp: (nz & (1 << s)).astype(bool) for s, sp in enumerate(Species)
+            },
+        )
+    compact = rowmod.take(views, rows)
+    return RowCensus(
+        sums={sp: d.sum(axis=1) for sp, d in compact.items()},
+        occupied=_occupied_rows(compact),
+        nonzero={sp: d.any(axis=1) for sp, d in compact.items()},
+    )
+
+
+def _mp_gate(
+    states: list[MicroState],
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+) -> np.ndarray:
+    """Cells the microphysics touches: warm enough, and either carrying
+    condensate or saturated enough to form some. (The Fortran scans
+    every cell — charged by the caller — but only these do real work
+    inside the conditionals.) The condensate is one BLAS matvec per
+    member over the packed bins (:meth:`MicroState.total_condensate_mass`):
+    on the storm forecast patch it measured 1.3–1.8 ms against 2.9–3.3
+    ms for a compiled per-cell contraction (2-vCPU Xeon)."""
+    qs = saturation_mixing_ratio(temperature, pressure_mb)
+    condensate = np.empty(temperature.shape)
+    for m, state in enumerate(states):
+        condensate[m] = state.total_condensate_mass()
+    return (temperature > T_FREEZE_CUTOFF) & (
+        (condensate > N_EPS) | (qv > 0.98 * qs)
+    )
+
+
 def _condensation_members(
     sbms: list[FastSBM],
-    g_dists: dict[Species, np.ndarray],
+    dists: dict[Species, np.ndarray],
+    rows: np.ndarray | None,
     g_t: np.ndarray,
     g_p: np.ndarray,
     g_qv: np.ndarray,
@@ -630,15 +541,17 @@ def _condensation_members(
     warm: np.ndarray,
     segments: list[tuple[int, int]],
     sp_present: list[dict[Species, bool]] | None,
+    row_sums: dict[Species, np.ndarray] | None = None,
 ) -> list[CondWorkStats]:
     """Warm/mixed-phase routing over the member concatenation.
 
     The warm and cold subsets are selected over all members at once
-    (member-major order is preserved by ``flatnonzero``) and handed to
-    the member-batched onecond cores as row indices; the cores handle
-    the per-member gates and BLAS splits, and update the gathered
-    arrays in place. ``sp_present=None`` treats every species as
-    possibly present.
+    (member-major order is preserved by ``flatnonzero``); their
+    thermodynamic scalars are taken, handed with the subset's rows to
+    the member-batched onecond cores, and put back. ``rows`` is None
+    when ``dists`` are compact per-point arrays. ``sp_present=None``
+    treats every species as possibly present; ``row_sums`` (per point,
+    e.g. the row census) spares the cores their own row sums.
     """
     nm = len(segments)
     totals = [CondWorkStats() for _ in range(nm)]
@@ -651,12 +564,18 @@ def _condensation_members(
         los = np.searchsorted(idx, starts)
         his = np.searchsorted(idx, stops)
         sub_segments = [(int(lo), int(hi)) for lo, hi in zip(los, his)]
+        t_s, qv_s, ccn_s = g_t[idx], g_qv[idx], g_ccn[idx]
         part = routine(
-            g_dists, g_t, g_p, g_qv, g_rho, g_ccn, sbms[0].dt, sub_segments,
+            dists, t_s, g_p[idx], qv_s, g_rho[idx], ccn_s, sbms[0].dt,
+            sub_segments,
             species_present=sp_present,
             native=sbms[0].use_native_physics,
-            rows=idx,
+            rows=idx if rows is None else rows[idx],
+            row_sums=None if row_sums is None else {
+                sp: sums[idx] for sp, sums in row_sums.items()
+            },
         )
+        g_t[idx], g_qv[idx], g_ccn[idx] = t_s, qv_s, ccn_s
         for m in range(nm):
             totals[m].merge(part[m])
     return totals
@@ -675,73 +594,68 @@ def step_members(
     dz_cm: float,
     pressure_levels: list[np.ndarray] | None = None,
 ) -> list[SbmStepStats]:
-    """Advance N ensemble members' microphysics in one fused sweep.
+    """Advance N members' microphysics in one fused sweep, in place.
 
     ``sbms[m]``/``states[m]`` are member ``m``'s driver (own clock) and
     micro state; the stacked arrays are ``(nm, ...)`` member-major
-    views whose slice ``[m]`` aliases that member's patch arrays.
+    views whose slice ``[m]`` aliases that member's patch arrays (a
+    solo patch is ``nm = 1``, :meth:`FastSBM.step`).
     ``pressure_levels`` optionally supplies each member's base-state
-    pressure column exactly as the solo step derives it (callers whose
+    pressure column exactly as a solo step derives it (callers whose
     stacked ``pressure_mb`` is a materialized copy should pass it so
     the column mean is taken over the member's own layout).
 
     Member ``m``'s fields, work stats, and per-rank clock charges are
-    bit-identical to a solo :meth:`FastSBM.step` of that member.
+    bit-identical to a solo step of that member. GPU stages (the
+    offloaded collision and condensation regions) run for one member.
     """
     nm = len(sbms)
     lead = sbms[0]
-    if any(s.stage.uses_gpu or s.offload_condensation for s in sbms):
+    if nm > 1 and any(s.stage.uses_gpu or s.offload_condensation for s in sbms):
         raise ConfigurationError(
             "ensemble member batching supports CPU stages only"
         )
     ni, nk, nj = states[0].shape
     npatch = ni * nk * nj
     dt = lead.dt
+    native = lead.use_native_physics
+    lib = ckernels.load_kernels() if native else None
     stats_list = [SbmStepStats() for _ in range(nm)]
     step_start = [sbm.clock.total for sbm in sbms]
-
-    from repro.fsbm.thermo import saturation_mixing_ratio
+    views, coef = rowmod.row_views(dists_stacked)
+    if lib is not None and not ckernels.addressable(views.values()):
+        # Rows the compiled kernels cannot address (more than MAX_NKR
+        # bins, non-float64 storage): the numpy kernels run instead.
+        lib, native = None, False
 
     with ExitStack() as stack:
         for sbm in sbms:
             stack.enter_context(sbm.clock.region("fast_sbm"))
         for sbm in sbms:
+            # The i,k,j scan of Listing 1 (conditional tests at every cell).
             sbm._charge_cpu(2.0 * npatch, 8.0 * npatch, iterations=npatch)
 
-        qs = saturation_mixing_ratio(temperature, pressure_mb)
-        condensate = np.empty(temperature.shape)
-        for m, state in enumerate(states):
-            condensate[m] = state.total_condensate_mass()
-        mp_mask = (temperature > T_FREEZE_CUTOFF) & (
-            (condensate > N_EPS) | (qv > 0.98 * qs)
-        )
-        counts = mp_mask.reshape(nm, -1).sum(axis=1)
+        mp_mask = _mp_gate(states, temperature, pressure_mb, qv)
+        midx = np.nonzero(mp_mask)
+        counts = np.bincount(midx[0], minlength=nm)
         offs = np.zeros(nm + 1, dtype=np.int64)
         np.cumsum(counts, out=offs[1:])
         segments = [(int(offs[m]), int(offs[m + 1])) for m in range(nm)]
-        total_pts = int(offs[-1])
         for m in range(nm):
             stats_list[m].mp_points = int(counts[m])
 
-        if total_pts:
-            # Integer-tuple indexing: one np.nonzero, then every gather and
-            # scatter fans out from the precomputed coordinate arrays.  On
-            # the strided superblock views this measures ~1.3x faster than
-            # repeated boolean masking (which re-scans the mask per field)
-            # and yields bit-identical results: same elements, same
-            # member-major C order.
-            midx = np.nonzero(mp_mask)
-            g_dists = {
-                sp: dists_stacked[sp][midx] for sp in states[0].dists
-            }
+        if offs[-1]:
+            rows = rowmod.cell_rows(coef, midx)
             g_t = temperature[midx]
             g_p = pressure_mb[midx]
             g_qv = qv[midx]
             g_rho = rho_air[midx]
             g_ccn = ccn_stacked[midx]
 
-            # --- nucleation (one elementwise pass over all members) ----
-            jernucl01_ks(g_dists, g_t, g_p, g_qv, g_rho, g_ccn, dt)
+            # --- nucleation (one row-local pass over all members) ------
+            jernucl01_ks(
+                views, g_t, g_p, g_qv, g_rho, g_ccn, dt, rows=rows, native=native
+            )
             for m, (s, e) in enumerate(segments):
                 if e == s:
                     continue
@@ -753,42 +667,48 @@ def step_members(
                     )
 
             # --- condensation ------------------------------------------
+            census = _census(lib, views, rows)
             sp_present = [
-                {sp: bool(g_dists[sp][s:e].any()) for sp in Species}
+                {sp: bool(census.nonzero[sp][s:e].any()) for sp in Species}
                 for (s, e) in segments
             ]
-            ice_present = np.zeros(total_pts, dtype=bool)
+            ice_present = np.zeros(rows.shape[0], dtype=bool)
             for sp in Species:
                 if sp is Species.LIQUID:
                     continue
-                hot = None
+                hot = census.sums[sp] > N_EPS
                 for m, (s, e) in enumerate(segments):
                     if e > s and sp_present[m][sp]:
-                        if hot is None:
-                            hot = g_dists[sp].sum(axis=1) > N_EPS
                         ice_present[s:e] |= hot[s:e]
             warm = (g_t > T_0 - 5.0) & ~ice_present
-            cond_list = _condensation_members(
-                sbms, g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
-                segments, sp_present,
-            )
-            for m, (s, e) in enumerate(segments):
-                if e == s:
-                    continue
-                stats_list[m].cond = cond_list[m]
-                with sbms[m].clock.region("onecond"):
-                    sbms[m]._charge_cpu(
-                        cond_list[m].flops, cond_list[m].bytes_moved
+            if lead.offload_condensation:
+                with lead.clock.region("onecond"):
+                    stats_list[0].cond = lead._condensation_offloaded(
+                        states[0], views, rows, g_t, g_p, g_qv, g_rho, g_ccn,
+                        warm,
                     )
+            else:
+                cond_list = _condensation_members(
+                    sbms, views, rows, g_t, g_p, g_qv, g_rho, g_ccn, warm,
+                    segments, sp_present, census.sums,
+                )
+                for m, (s, e) in enumerate(segments):
+                    if e == s:
+                        continue
+                    stats_list[m].cond = cond_list[m]
+                    with sbms[m].clock.region("onecond"):
+                        sbms[m]._charge_cpu(
+                            cond_list[m].flops, cond_list[m].bytes_moved
+                        )
 
-            # --- freezing / melting (cross-row gates: per member) ------
+            # --- freezing / melting (work gates per call: per member) --
             for m, (s, e) in enumerate(segments):
                 if e == s:
                     continue
-                seg_dists = {sp: d[s:e] for sp, d in g_dists.items()}
                 with sbms[m].clock.region("freezing"):
                     stats_list[m].freeze = freezing_melting_step(
-                        seg_dists, g_t[s:e], g_rho[s:e], dt
+                        views, g_t[s:e], g_rho[s:e], dt, rows=rows[s:e],
+                        native=native,
                     )
                     sbms[m]._charge_cpu(
                         stats_list[m].freeze.flops,
@@ -796,53 +716,58 @@ def step_members(
                     )
 
             # --- collision–coalescence ---------------------------------
-            sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
-            condensate_g = np.zeros(total_pts)
-            for s_arr in sums.values():
-                condensate_g += s_arr
-            call_coal = (g_t > T_COAL_CUTOFF) & (condensate_g > N_EPS)
-            cidx = np.flatnonzero(call_coal)
+            census = _census(lib, views, rows)
+            condensate = np.zeros(rows.shape[0])
+            for sp in Species:
+                condensate += census.sums[sp]
+            # The paper's predicate array call_coal_bott_new(i,k,j).
+            cidx = np.flatnonzero((g_t > T_COAL_CUTOFF) & (condensate > N_EPS))
             clos = np.searchsorted(cidx, [s for s, _ in segments])
             chis = np.searchsorted(cidx, [e for _, e in segments])
-            works = None
             if cidx.size:
-                c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
                 c_t = g_t[cidx]
                 c_p = g_p[cidx]
-                occupied = _occupied_rows(c_dists)
+                c_rows = rows[cidx]
+                occupied = {sp: o[cidx] for sp, o in census.occupied.items()}
+                # One selection for the whole step: the work prediction
+                # and the update (and its fp64 shadow) all test the same
+                # pre-step state.
                 selection = CoalSelection(
-                    c_t, {sp: s_arr[cidx] for sp, s_arr in sums.items()}, {}
+                    c_t, {sp: s_arr[cidx] for sp, s_arr in census.sums.items()}, {}
                 )
-                coal_segments = [
-                    (int(lo), int(hi)) for lo, hi in zip(clos, chis)
-                ]
-                works = coal_bott_step_members(
-                    c_dists, c_t, c_p, dt, lead.tables, INTERACTIONS,
-                    coal_segments, occupied=occupied,
-                    on_demand=lead.stage.on_demand_kernels,
-                    selection=selection,
-                    native=lead.use_native_physics,
-                )
-                for sp in g_dists:
-                    g_dists[sp][cidx] = c_dists[sp]
+                if not lead.stage.uses_gpu:
+                    works = coal_bott_step_members(
+                        views, c_t, c_p, dt, lead.tables, INTERACTIONS,
+                        [(int(lo), int(hi)) for lo, hi in zip(clos, chis)],
+                        occupied=occupied,
+                        on_demand=lead.stage.on_demand_kernels,
+                        selection=selection,
+                        native=native,
+                        rows=c_rows,
+                    )
             for m, (s, e) in enumerate(segments):
                 if e == s:
                     continue
                 clock = sbms[m].clock
                 with clock.region("coal_bott_new"):
                     before = clock.total
-                    if works is not None and chis[m] > clos[m]:
-                        w = works[m]
-                        stats_list[m].coal = w
+                    if chis[m] > clos[m]:
                         stats_list[m].coal_points = int(chis[m] - clos[m])
-                        sbms[m]._charge_cpu(
-                            w.flops, w.bytes_moved,
-                            iterations=int(w.pair_entries),
-                        )
+                        if lead.stage.uses_gpu:
+                            stats_list[m].coal, stats_list[m].coal_record = (
+                                lead._collisions_offloaded(
+                                    states[0], views, c_rows, c_t, c_p,
+                                    occupied, selection,
+                                )
+                            )
+                        else:
+                            w = stats_list[m].coal = works[m]
+                            sbms[m]._charge_cpu(
+                                w.flops, w.bytes_moved,
+                                iterations=int(w.pair_entries),
+                            )
                     stats_list[m].coal_seconds = clock.total - before
 
-            for sp in g_dists:
-                dists_stacked[sp][midx] = g_dists[sp]
             temperature[midx] = g_t
             qv[midx] = g_qv
             ccn_stacked[midx] = g_ccn
@@ -856,7 +781,7 @@ def step_members(
             np.array_equal(pressure_levels[0], pl)
             for pl in pressure_levels[1:]
         )
-        if shared_col and lead.use_native_physics:
+        if shared_col and native:
             with ExitStack() as sed_stack:
                 for sbm in sbms:
                     sed_stack.enter_context(sbm.clock.region("sedimentation"))

@@ -11,6 +11,11 @@
 All transfers move number between equal-mass bins of different species,
 so condensate mass is conserved exactly; latent heat of fusion feeds
 back on temperature.
+
+With ``native`` and a row list the compiled row kernel
+:func:`repro.fsbm.ckernels.freeze_melt_rows` does the same per point,
+in place in the rows, and reports the per-row gate flags the work
+count needs; the numpy reference below is its oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import T_0
+from repro.fsbm import rows as rowmod
 from repro.fsbm.species import ICE_HABITS, Species, species_bins
 from repro.fsbm.thermo import latent_heating
 
@@ -60,21 +66,52 @@ class FreezeWorkStats:
         self.bin_updates += other.bin_updates
 
 
+def _melt_fraction(dt: float, tau: float):
+    return 1.0 - np.exp(-dt / tau)
+
+
 def freezing_melting_step(
     dists: dict[Species, np.ndarray],
     temperature: np.ndarray,
     rho_air: np.ndarray,
     dt: float,
+    rows: np.ndarray | None = None,
+    native: bool = True,
 ) -> FreezeWorkStats:
-    """Apply freezing and melting to ``(npts, nkr)`` distributions."""
+    """Apply freezing and melting to one call's points, in place.
+
+    ``dists`` maps species to ``(rows, nkr)`` row views
+    (:mod:`repro.fsbm.rows`); point ``p`` lives in row ``rows[p]``, or
+    in row ``p`` when ``rows`` is None. The work count is gated per
+    call (any point freezing, any point melting a species), so one
+    call is one member's points.
+    """
     npts = temperature.shape[0]
     stats = FreezeWorkStats()
     if npts == 0:
         return stats
     grids = species_bins()
-    liq = dists[Species.LIQUID]
-    nkr = liq.shape[1]
     masses = grids[Species.LIQUID].masses
+    nkr = masses.shape[0]
+    if rows is not None:
+        from repro.fsbm import ckernels
+
+        lib = ckernels.load_kernels() if native else None
+        if lib is not None:
+            flags = ckernels.freeze_melt_rows(
+                lib, [dists[sp] for sp in Species], rows, temperature,
+                rho_air, masses, HAIL_BIN_THRESHOLD, dt,
+                _melt_fraction(dt, TAU_MELT_FAST),
+                _melt_fraction(dt, TAU_MELT_SLOW),
+            )
+            gates = int(np.bitwise_or.reduce(flags))
+            stats.bin_updates = float(npts * nkr) * bin(gates).count("1")
+            return stats
+        compact = rowmod.take(dists, rows)
+        stats = freezing_melting_step(compact, temperature, rho_air, dt)
+        rowmod.put(dists, rows, compact)
+        return stats
+    liq = dists[Species.LIQUID]
 
     # --- freezing ----------------------------------------------------------
     supercool = np.maximum(T_0 - temperature, 0.0)
@@ -105,7 +142,7 @@ def freezing_melting_step(
                 if sp in (*ICE_HABITS, Species.SNOW)
                 else TAU_MELT_SLOW
             )
-            melt_frac = np.where(warm, 1.0 - np.exp(-dt / tau), 0.0)[:, None]
+            melt_frac = np.where(warm, _melt_fraction(dt, tau), 0.0)[:, None]
             melted = dists[sp] * melt_frac
             if not melted.any():
                 continue

@@ -5,6 +5,11 @@ power law in supersaturation; ice nucleation follows a Fletcher-type
 exponential in supercooling, gated on ice supersaturation. Newly formed
 particles enter the smallest bin of their species, with vapor and
 latent-heat feedback applied.
+
+With ``native`` and a row list the compiled row kernel
+:func:`repro.fsbm.ckernels.nucleate_rows` does the same per point,
+in place in the rows; the numpy reference below is the oracle it is
+tested against (agreement to rounding: libm ``exp`` vs numpy's).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import T_0
+from repro.fsbm import rows as rowmod
 from repro.fsbm.species import Species, species_bins
 from repro.fsbm.thermo import latent_heating, supersaturation
 
@@ -33,6 +39,10 @@ ICE_NUCLEATION_CAP = 0.1
 #: FLOPs per grid point of the activation logic (supersaturation,
 #: Twomey power law, Fletcher exponential, habit partition).
 FLOPS_PER_POINT = 80.0
+
+#: The species nucleation writes (bin 0 only), in the compiled
+#: kernel's table order.
+NUCLEATED = (Species.LIQUID, Species.ICE_DEN, Species.ICE_COL, Species.ICE_PLA)
 
 
 @dataclass
@@ -61,17 +71,38 @@ def jernucl01_ks(
     rho_air: np.ndarray,
     ccn: np.ndarray,
     dt: float,
+    rows: np.ndarray | None = None,
+    native: bool = True,
 ) -> NuclWorkStats:
     """Activate droplets and nucleate ice crystals, in place.
 
-    ``dists`` maps species to ``(npts, nkr)`` bin arrays; thermodynamic
-    arrays are per point.
+    ``dists`` maps species to ``(rows, nkr)`` row views
+    (:mod:`repro.fsbm.rows`); point ``p`` lives in row ``rows[p]``, or
+    in row ``p`` when ``rows`` is None. Thermodynamic arrays are per
+    point. With ``native`` and a row list the compiled kernel updates
+    the rows in place; otherwise the numpy reference runs on a take of
+    the rows and puts them back.
     """
     npts = temperature.shape[0]
     stats = NuclWorkStats(points=npts)
     if npts == 0:
         return stats
     grids = species_bins()
+    if rows is not None:
+        from repro.fsbm import ckernels
+
+        lib = ckernels.load_kernels() if native else None
+        if lib is not None:
+            ckernels.nucleate_rows(
+                lib, [dists[sp] for sp in NUCLEATED], rows, temperature,
+                pressure_mb, qv, rho_air, ccn,
+                grids[Species.LIQUID].masses[0], grids[Species.ICE_PLA].masses[0],
+            )
+            return stats
+        compact = rowmod.take(dists, rows, NUCLEATED)
+        jernucl01_ks(compact, temperature, pressure_mb, qv, rho_air, ccn, dt)
+        rowmod.put(dists, rows, compact)
+        return stats
 
     # --- droplet activation ---------------------------------------------------
     s_w = supersaturation(qv, temperature, pressure_mb, over="water")

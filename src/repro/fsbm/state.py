@@ -31,7 +31,9 @@ class MicroState:
     dists: dict[Species, np.ndarray] = field(default_factory=dict)
     #: Available cloud condensation nuclei [cm^-3].
     ccn: np.ndarray = field(default=None)  # type: ignore[assignment]
-    #: Accumulated surface precipitation mass [g/cm^2] (diagnostic).
+    #: Accumulated surface precipitation (diagnostic): the mass that
+    #: sedimented out of the lowest cell, per volume of that cell
+    #: [g/cm^3], so it adds to the cells' mass contents in water budgets.
     precip: np.ndarray = field(default=None)  # type: ignore[assignment]
     #: Optional ``(ni, nk, nj, nsp * nkr)`` view covering every species'
     #: bins contiguously (set by :meth:`bind_packed` when the dists live

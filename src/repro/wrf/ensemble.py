@@ -11,9 +11,10 @@ kernel invocation per stage:
   (:func:`repro.wrf.transport.fused_euler_advect_members` /
   ``fused_rk3_advect_members`` over one stacked
   :class:`~repro.wrf.dynamics.WindSplit`),
-* microphysics runs :func:`repro.fsbm.fast_sbm.step_members` (stacked
-  gathers, one nucleation call, member-segmented condensation and
-  collisions, one fused sedimentation sweep),
+* microphysics runs :func:`repro.fsbm.fast_sbm.step_members` in place
+  on the stacked block (one row list over all members, one nucleation
+  call, member-segmented condensation and collisions, one fused
+  sedimentation sweep),
 * the halo exchange is the same per-segment strided copy with the
   member axis riding along.
 
@@ -27,8 +28,8 @@ batched run is **bit-identical** — fields, per-rank
 :class:`~repro.core.clock.SimClock` charges, history frames — to a solo
 :class:`~repro.wrf.model.WrfModel` run of
 :func:`repro.wrf.namelist.member_namelist`\\ ``(nl, m)``. The batching
-discipline that guarantees this (shared elementwise ops and gathers,
-per-member BLAS calls — see :mod:`repro.fsbm.fast_sbm`) is enforced by
+discipline that guarantees this (shared elementwise ops and row-local
+kernels, per-member BLAS calls — see :mod:`repro.fsbm.fast_sbm`) is enforced by
 the exact-equality suite in ``tests/wrf/test_ensemble.py``.
 
 ``REPRO_DISABLE_ENSEMBLE=1`` is the kill switch: the model degenerates
@@ -114,7 +115,7 @@ class RankEnsemble:
     CCN, precip) live in member-stacked side arrays with the member
     fields rebound as views, which is what lets transport build one
     stacked :class:`~repro.wrf.dynamics.WindSplit` and microphysics
-    gather all members with one boolean mask.
+    address all members' cells with one row list.
     """
 
     rank: int
@@ -254,6 +255,8 @@ def physics_rank_members(
                 members=len(stats),
                 mp_points=sum(s.mp_points for s in stats),
                 coal_points=sum(s.coal_points for s in stats),
+                coal_limiter_binds=sum(s.coal.limiter_binds for s in stats),
+                cond_limiter_binds=sum(s.cond.limiter_binds for s in stats),
             )
     return stats
 

@@ -166,7 +166,12 @@ def physics_rank(namelist: Namelist, fields: WrfFields, sbm: FastSBM) -> SbmStep
             dz_cm=namelist.domain.dz * 100.0,
         )
         if sp is not None:
-            sp.set(mp_points=stats.mp_points, coal_points=stats.coal_points)
+            sp.set(
+                mp_points=stats.mp_points,
+                coal_points=stats.coal_points,
+                coal_limiter_binds=stats.coal.limiter_binds,
+                cond_limiter_binds=stats.cond.limiter_binds,
+            )
     return stats
 
 

@@ -22,15 +22,23 @@ from repro.codee.loopir import (
 )
 
 
-#: The compiled row-local FSBM point kernels (condensation growth and
-#: the collision limiter/update passes in both precisions).
+#: The compiled row-local FSBM point kernels (condensation growth, the
+#: collision limiter/update passes in both precisions, nucleation,
+#: freezing/melting and the driver's row census).
 FSBM_POINT_KERNELS = (
     "cond_grow",
     "coal_limit_f64",
     "coal_update_f64",
     "coal_limit_f32",
     "coal_update_f32",
+    "nucleate_rows",
+    "freeze_melt_rows",
+    "census_rows",
 )
+
+#: libm calls a compiled kernel may make; each has a ``<name>f`` float
+#: twin that a float kernel would have to call instead.
+LIBM_DOUBLE_CALLS = ("exp", "sqrt", "fabs")
 
 
 class TestExpressions:
@@ -113,6 +121,28 @@ class TestExpressions:
         called = emit_module([kernel(Call("fabs", (Load("x", (Sym("i"),)),)))])
         assert "#include <math.h>" in called
         assert "fabs(x[i])" in called
+
+    @pytest.mark.parametrize("fn", ["exp", "sqrt"])
+    def test_libm_intrinsics_emit_with_math_header(self, fn):
+        from repro.codee.cgen import emit_module
+
+        x = Load("x", (Sym("i"),))
+        kernel = Kernel(
+            name="k",
+            params=(
+                ArrayParam("x", strides=(Const(1),), intent="inout"),
+                ScalarParam("n", "long"),
+            ),
+            body=[
+                Loop(
+                    "i", Const(0), Sym("n"), [Store("x", (Sym("i"),), Call(fn, (x,)))]
+                )
+            ],
+        )
+        src = emit_module([kernel])
+        assert "#include <math.h>" in src
+        assert f"{fn}(x[i])" in src
+        assert fn in loopir.PURE_INTRINSICS
 
 
 class TestLoops:
@@ -212,6 +242,28 @@ class TestFsbmPointKernels:
             for lp in loopir.walk_ir_stmts(kernel.body)
             if isinstance(lp, Loop)
         )
+
+    def test_float_variants_call_no_double_libm(self):
+        """The float collision passes keep their arithmetic float: no
+        double libm call (``exp``, ``sqrt``, ``fabs``) appears in them,
+        while the double kernels that need one do call it."""
+        import re
+
+        from repro.fsbm import ckernels
+
+        src = ckernels.C_SOURCE
+        assert "#include <math.h>" in src
+
+        def body(name):
+            text = src[src.index(f"void {name}(") :]
+            return text[: text.index("\n}\n")]
+
+        for name in ("coal_limit_f32", "coal_update_f32"):
+            for fn in LIBM_DOUBLE_CALLS:
+                assert not re.search(rf"\b{fn}\(", body(name)), (name, fn)
+        assert re.search(r"\bexp\(", body("nucleate_rows"))
+        assert re.search(r"\bsqrt\(", body("nucleate_rows"))
+        assert re.search(r"\bexp\(", body("freeze_melt_rows"))
 
     def test_codee_transform_emits_them_serial(self, capsys):
         from repro.codee.cli import main

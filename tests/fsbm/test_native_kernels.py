@@ -184,6 +184,8 @@ from repro.fsbm.condensation import (  # noqa: E402
     _condensation_core_members,
     onecond2,
 )
+from repro.fsbm.freezing import freezing_melting_step  # noqa: E402
+from repro.fsbm.nucleation import jernucl01_ks  # noqa: E402
 from repro.fsbm.species import INTERACTIONS  # noqa: E402
 from repro.fsbm.thermo import saturation_mixing_ratio  # noqa: E402
 from tests.fsbm.test_coal_bott import (  # noqa: E402
@@ -355,7 +357,7 @@ class TestCompiledSparseEngine:
 
         def recording_limit(*args):
             out = limit(*args)
-            binds.append(out is not None)
+            binds.append(out[0] > 0)
             return out
 
         monkeypatch.setattr(ckernels, "coal_limit", recording_limit)
@@ -439,6 +441,75 @@ class TestDisableSwitch:
         for a, b in zip(off[1:4], ref[1:4]):
             np.testing.assert_array_equal(a, b)
 
+    def _rows_case(self, seed):
+        from tests.fsbm.test_inplace_kernels import _case
+
+        return _case("superblock", seed=seed)
+
+    def test_nucleation_falls_back_to_numpy_exactly(self, monkeypatch):
+        stacked, rows, views, f = self._rows_case(2)
+        ref_stacked, _, ref_views, ref = self._rows_case(2)
+        jernucl01_ks(
+            ref_views, ref["t"], ref["p"], ref["qv"], ref["rho"], ref["ccn"],
+            5.0, rows=rows, native=False,
+        )
+        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
+        _forbid(monkeypatch, "nucleate_rows")
+        jernucl01_ks(
+            views, f["t"], f["p"], f["qv"], f["rho"], f["ccn"], 5.0,
+            rows=rows, native=True,
+        )
+        for sp in SPLIST:
+            np.testing.assert_array_equal(stacked[sp], ref_stacked[sp])
+        for name in ("t", "qv", "ccn"):
+            np.testing.assert_array_equal(f[name], ref[name])
+
+    def test_freezing_falls_back_to_numpy_exactly(self, monkeypatch):
+        stacked, rows, views, f = self._rows_case(3)
+        ref_stacked, _, ref_views, ref = self._rows_case(3)
+        st_ref = freezing_melting_step(
+            ref_views, ref["t"], ref["rho"], 5.0, rows=rows, native=False
+        )
+        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
+        _forbid(monkeypatch, "freeze_melt_rows")
+        st_off = freezing_melting_step(
+            views, f["t"], f["rho"], 5.0, rows=rows, native=True
+        )
+        assert st_off == st_ref
+        for sp in SPLIST:
+            np.testing.assert_array_equal(stacked[sp], ref_stacked[sp])
+        np.testing.assert_array_equal(f["t"], ref["t"])
+
+    def test_driver_step_falls_back_to_numpy_exactly(self, monkeypatch):
+        """A whole FastSBM step asked for the compiled physics, with the
+        switch set and every compiled fsbm entry point forbidden — the
+        row census included — equals the numpy reference bit for bit."""
+        from tests.fsbm.test_fast_sbm import _sbm, _setup
+        from repro.optim.stages import Stage
+
+        def run(native):
+            state, t, p, qv, rho = _setup(seed=3)
+            sbm = _sbm(Stage.LOOKUP)
+            sbm.use_native_physics = native
+            stats = [sbm.step(state, t, p, qv, rho, dz_cm=50_000.0) for _ in range(2)]
+            return state, t, qv, stats, sbm.clock
+
+        ref = run(False)
+        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
+        _forbid(
+            monkeypatch, "census_rows", "nucleate_rows", "cond_grow",
+            "freeze_melt_rows", "coal_limit", "coal_update", "sed_sweep",
+            "sed_sweep_members",
+        )
+        off = run(True)
+        for sp in SPLIST:
+            np.testing.assert_array_equal(off[0].dists[sp], ref[0].dists[sp])
+        np.testing.assert_array_equal(off[1], ref[1])
+        np.testing.assert_array_equal(off[2], ref[2])
+        assert off[3] == ref[3]
+        assert off[4].buckets == ref[4].buckets
+        assert off[4].regions == ref[4].regions
+
 
 class TestEmission:
     NEW_KERNELS = (
@@ -447,6 +518,9 @@ class TestEmission:
         "coal_update_f64",
         "coal_limit_f32",
         "coal_update_f32",
+        "nucleate_rows",
+        "freeze_melt_rows",
+        "census_rows",
     )
 
     def test_fsbm_module_has_no_parallel_region(self):
