@@ -56,8 +56,7 @@ Kernels and their equivalence to the numpy references (asserted by
   forms the pre-limit losses, the bind flag and the limited spectra;
   the update pass the final losses, the five gain families with their
   shifts and top-bin fold, and the clamped write-back into collector,
-  collected and product rows (whose sums the double pass returns for
-  the selection refresh). Agreement with the dense engine stays
+  collected and product rows. Agreement with the dense engine stays
   within the sparse engine's own 1e-12 (2e-4 in float32).
 * ``nucleate_rows`` / ``freeze_melt_rows`` — ``jernucl01_ks`` and
   ``freezing_melting_step`` per row, in the references' operation
@@ -993,36 +992,13 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
             [If(Sym("pmode").eq(Const(2)), [add_gain(1)], [add_gain(2)])],
         ),
     ]
-    # The double pass also refreshes the selection sums of the three
-    # written rows while they are in cache (numpy's row-sum order, so
-    # bit-identical to it); the float pass leaves them to the caller and
-    # keeps its arithmetic float.
-    slot = Sym("slot")
-    row_sums = Loop(
-        "slot",
-        Const(0),
-        Const(3),
-        [
-            *_pairwise_sum(lambda b: Load("dists", (slot, r, b)), nkr),
-            Store("rsum", (slot, p), Sym("res")),
-        ],
-    )
     per_row = [
         Let("r", Load("idx", (p,)), ctype="long"),
         Let("w", Load("ws", (p,)), ctype=real),
         *gain,
         If(Sym("selfc"), self_update, pair_update),
-        *([row_sums] if real == "double" else []),
     ]
     mat = lambda name, ld: ArrayParam(name, strides=(ld, Const(1)), ctype=real)
-    row_sum_params = (
-        (
-            ArrayParam("rsum", strides=(Sym("npts"), Const(1)), intent="out"),
-            ScalarParam("nblk", "long"),
-        )
-        if real == "double"
-        else ()
-    )
     return Kernel(
         name=f"coal_update_{_suffix(real)}",
         params=(
@@ -1044,10 +1020,8 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
                 intent="inout",
                 ptr_table=True,
             ),
-            *row_sum_params[:1],
             ScalarParam("npts", "long"),
             ScalarParam("nkr", "long"),
-            *row_sum_params[1:],
             ScalarParam("ld", "long"),
             ScalarParam("na", "long"),
             ScalarParam("nb", "long"),
@@ -1069,8 +1043,7 @@ def build_coal_update_ir(real: str = "double") -> Kernel:
         doc=(
             f"Collision update pass ({real}): final losses, the five gain "
             "families with shifts and top-bin fold, clamped write-back "
-            "into the collector/collected/product rows idx[p], and their "
-            "refreshed row sums."
+            "into the collector/collected/product rows idx[p]."
         ),
     )
 
@@ -1585,14 +1558,10 @@ def _declare(lib: ctypes.CDLL) -> None:
         limit.argtypes = [vp] * 8 + [lg] * 5 + [real, real, lg]
         update = getattr(lib, f"coal_update_{_suffix(c_real)}")
         update.restype = None
-        # idx, a, b, ap, bp, pkr, pgr, pkc, pgc, ws, d5, dd, dists,
-        # [rsum]; npts, nkr, [nblk], ld, na, nb, nd, ha, hb, hd, ldkr,
-        # ldgr, ldkc, ldgc; half, dt, hdt; selfc, pmode (the bracketed
-        # row-sum arguments in double only)
-        sums = 1 if c_real == "double" else 0
-        update.argtypes = (
-            [vp] * (13 + sums) + [lg] * (13 + sums) + [real] * 3 + [lg, lg]
-        )
+        # idx, a, b, ap, bp, pkr, pgr, pkc, pgc, ws, d5, dd, dists;
+        # npts, nkr, ld, na, nb, nd, ha, hb, hd, ldkr, ldgr, ldkc, ldgc;
+        # half, dt, hdt; selfc, pmode
+        update.argtypes = [vp] * 13 + [lg] * 13 + [real] * 3 + [lg, lg]
 
 
 # Derive annotations, verify, and emit the C source; an illegal
@@ -2053,7 +2022,7 @@ def coal_update(
     dt: float,
     self_collection: bool,
     pmode: int,
-) -> np.ndarray:
+) -> None:
     """The update pass: losses, gains and write-back into ``dists`` rows.
 
     ``pk``/``pg`` are the (row, column) loss and gain products,
@@ -2061,10 +2030,7 @@ def coal_update(
     float64 ``(collector, collected, product)`` row views (one row
     stride, see :func:`row_stride`) written at rows ``idx``; ``pmode``
     is 1 when the product is the
-    collector, 2 when it is the collected species, 0 otherwise. The
-    float64 pass returns the ``(3, npts)`` sums of the written
-    collector, collected and product rows, equal to numpy's
-    ``sum(axis=1)`` of them; the float32 pass returns None.
+    collector, 2 when it is the collected species, 0 otherwise.
     """
     npts, na = a.shape
     nb = b.shape[1]
@@ -2082,16 +2048,12 @@ def coal_update(
     pgc, ldgc = _mat(pg[1], a.dtype, npts, 4 * nb)
     real = a.dtype.type
     suffix = _pass_suffix(a.dtype)
-    rsum = np.empty((3, npts)) if suffix == "f64" else None
-    sums_out = () if rsum is None else (rsum.ctypes.data,)
-    blocks = () if rsum is None else (nkr // 8,)
     getattr(lib, f"coal_update_{suffix}")(
         idx.ctypes.data, a.ctypes.data, b.ctypes.data, ap.ctypes.data,
         bp.ctypes.data, pkr, pgr, pkc, pgc, ws.ctypes.data,
-        diag[0].ctypes.data, diag[1].ctypes.data, table, *sums_out,
-        npts, nkr, *blocks, ld, na, nb, nd, min(na, nkr - 1), min(nb, nkr - 1),
+        diag[0].ctypes.data, diag[1].ctypes.data, table,
+        npts, nkr, ld, na, nb, nd, min(na, nkr - 1), min(nb, nkr - 1),
         min(nd, nkr - 1), ldkr, ldgr, ldkc, ldgc,
         half, dt, real(real(half) * real(dt)),
         1 if self_collection else 0, pmode,
     )
-    return rsum

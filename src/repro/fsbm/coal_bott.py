@@ -350,14 +350,6 @@ class CoalSelection:
         for sp in species:
             self._sums[sp][points] = dists[sp][rows].sum(axis=1)
 
-    def assign(
-        self, species: tuple[Species, ...], points: np.ndarray, sums: np.ndarray
-    ) -> None:
-        """Set the sums of ``species[k]`` at ``points`` to ``sums[k]``
-        (sums the compiled update already took, in numpy's order)."""
-        for sp, row_sums in zip(species, sums):
-            self._sums[sp][points] = row_sums
-
 
 def predict_coal_work(
     dists: dict[Species, np.ndarray],
@@ -674,22 +666,16 @@ def _apply_native(
     the start of ``idx`` — one member's rows — so a member's blocks,
     and with them its results, do not depend on the other members.
     ``idx`` are rows of the ``dists`` row views, read and written in
-    place. Returns the number of rows where the limiter bound and, in
-    float64, the ``(3, rows)`` sums of the written collector/collected/
-    product rows (None in float32).
+    place. Returns the number of rows where the limiter bound.
     """
     ops = _coal_operators(tables, ix.name, nkr, na, nb, dtype)
     binds = 0
-    sums = np.empty((3, idx.shape[0])) if dtype == np.float64 else None
     for s in range(0, idx.shape[0], NATIVE_BLOCK_ROWS):
         e = s + NATIVE_BLOCK_ROWS
-        block_binds, block_sums = _apply_native_block(
+        binds += _apply_native_block(
             lib, dists, ix, idx[s:e], na, nb, ws[s:e], dt, dtype, ops
         )
-        binds += block_binds
-        if sums is not None:
-            sums[:, s:e] = block_sums
-    return binds, sums
+    return binds
 
 
 def _products(x: np.ndarray, mats: tuple) -> np.ndarray:
@@ -719,7 +705,7 @@ def _apply_native_block(
     dt: float,
     dtype: np.dtype,
     ops: tuple,
-) -> tuple[int, np.ndarray | None]:
+) -> int:
     """:func:`_apply_native` on one block of rows."""
     (k5t, k5, l5t, lh5t, u5, uh5, d5), (kdt, kd, ldt, lhdt, ud, uhd, dd) = ops
     n_a = dists[ix.collector]
@@ -747,11 +733,11 @@ def _apply_native_block(
         pmode = 2
     else:
         pmode = 0
-    sums = ckernels.coal_update(
+    ckernels.coal_update(
         lib, idx, a, b, ap, bp, pk, pg, ws, (d5, dd),
         (n_a, n_b, dists[ix.product]), half, dt, selfc, pmode,
     )
-    return binds, sums
+    return binds
 
 
 def _native_lib(dists: dict[Species, np.ndarray], dtype: np.dtype):
@@ -882,12 +868,6 @@ def coal_bott_step_members(
         occ_b = occupied[ix.collected] if occupied is not None else None
         los = np.searchsorted(idx, starts)
         his = np.searchsorted(idx, stops)
-        written = (ix.collector, ix.collected, ix.product)
-        fresh = (
-            np.empty((3, idx.shape[0]))
-            if lib is not None and dtype == np.float64
-            else None
-        )
 
         for m, (lo, hi) in enumerate(zip(los, his)):
             if hi == lo:
@@ -904,12 +884,10 @@ def coal_bott_step_members(
             else:
                 na = nb = nkr
             if lib is not None:
-                binds, sums = _apply_native(
+                binds = _apply_native(
                     lib, dists, ix, brows, na, nb, w_full[pts], dt, dtype,
                     tables, nkr,
                 )
-                if fresh is not None:
-                    fresh[:, lo:hi] = sums
             elif use_sparse:
                 binds = _apply_sparse(
                     dists, ix, brows, dists[ix.collector][brows],
@@ -923,9 +901,8 @@ def coal_bott_step_members(
                     dtype, tables, nkr, g_split,
                 )
             stats[m].limiter_binds += binds
-        if fresh is not None:
-            live.assign(written, idx, fresh)
-        else:
-            live.refresh(dists, set(written), idx, bin_rows)
+        live.refresh(
+            dists, {ix.collector, ix.collected, ix.product}, idx, bin_rows
+        )
 
     return stats

@@ -311,10 +311,10 @@ def _condensation_core_members(
             continue
         if row_sums is not None:
             sums = row_sums[sp]
-        elif lib is not None:
-            sums = ckernels.census_rows(lib, [n], rows, N_EPS)[0][0]
-        else:
+        elif rows is None:
             sums = n.sum(axis=1)
+        else:
+            sums = n[rows].sum(axis=1)
         rowsum_hot = sums > N_EPS
         passing = [
             m for m in flagged if rowsum_hot[segments[m][0] : segments[m][1]].any()
